@@ -106,14 +106,16 @@ CodegenPlan plan(const core::KernelSignature& sig, Precision prec,
   // (compiler quality x pattern suitability) to avoid double counting.
   out.efficiency = facts.efficiency * pattern_vector_efficiency(sig.pattern);
 
-  // Strip overhead from the representative emitted loop.
+  // Strip overhead from the representative emitted loop (counted once
+  // per loop shape, then memoized).
   const auto dialect =
       is_rvv071 && comp == CompilerId::Gcc ? rvv::Dialect::V0_7_1
                                            : rvv::Dialect::V1_0;
   const auto cgmode = mode == VectorMode::VLA ? rvv::CodegenMode::VLA
                                               : rvv::CodegenMode::VLS;
   const auto cost =
-      rvv::loop_cost(loop_spec_for(sig, prec, vu.width_bits), cgmode, dialect);
+      rvv::memoized_loop_cost(loop_spec_for(sig, prec, vu.width_bits), cgmode,
+                              dialect);
   out.overhead_instrs_per_strip = cost.scalar_instrs_per_strip;
 
   out.memory_efficiency = facts.memory_efficiency *

@@ -147,8 +147,8 @@ sim::TimeBreakdown SweepEngine::run_point(const SweepPoint& p) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   EngineMetrics::get().requests.add();
   const std::uint64_t machine_fp = machine_fingerprint(*p.machine);
-  const sim::Simulator& simulator = simulator_for(*p.machine, machine_fp);
   auto compute = [&] {
+    const sim::Simulator& simulator = simulator_for(*p.machine, machine_fp);
     simulations_.fetch_add(1, std::memory_order_relaxed);
     EngineMetrics::get().simulations.add();
     const auto t0 = std::chrono::steady_clock::now();
@@ -193,7 +193,7 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   struct Group {
     const machine::MachineDescriptor* machine = nullptr;
     const core::KernelSignature* signature = nullptr;
-    const sim::Simulator* simulator = nullptr;
+    const sim::Simulator* simulator = nullptr;  ///< set iff misses
     std::uint64_t machine_fp = 0;
     std::uint64_t signature_fp = 0;
     std::vector<std::size_t> miss;  ///< result indices left to price
@@ -201,7 +201,6 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   struct MachineEntry {
     const machine::MachineDescriptor* machine;
     std::uint64_t fp;
-    const sim::Simulator* simulator;
   };
   std::vector<Group> groups;
   std::vector<MachineEntry> machines;
@@ -232,11 +231,9 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
       }
       if (me == machines.size()) {
         const std::uint64_t fp = machine_fingerprint(*p.machine);
-        machines.push_back(
-            MachineEntry{p.machine, fp, &simulator_for(*p.machine, fp)});
+        machines.push_back(MachineEntry{p.machine, fp});
       }
       group.machine_fp = machines[me].fp;
-      group.simulator = machines[me].simulator;
       group.signature_fp = signature_fingerprint(*p.signature);
       groups.push_back(std::move(group));
     }
@@ -253,6 +250,11 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   }
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (!hit[i]) groups[point_group[i]].miss.push_back(i);
+  }
+  // Only groups with work to price need a Simulator, so an all-hit
+  // batch (a warm restart) builds none.
+  for (Group& g : groups) {
+    if (!g.miss.empty()) g.simulator = &simulator_for(*g.machine, g.machine_fp);
   }
 
   // Price the misses through sim::Simulator::run_batch, one EvalContext

@@ -34,7 +34,9 @@ constexpr std::string_view to_string(Placement p) noexcept {
   return "?";
 }
 
-/// Core ids assigned to threads 0..nthreads-1 under a policy.
+/// Core ids assigned to threads 0..nthreads-1 under a policy. Every
+/// policy is a prefix of its full-machine order: the result is the first
+/// nthreads entries of assign_cores(m, p, m.num_cores).
 /// Throws std::invalid_argument if nthreads is not in [1, num_cores].
 std::vector<int> assign_cores(const MachineDescriptor& m, Placement p,
                               int nthreads);

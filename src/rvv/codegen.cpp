@@ -1,7 +1,10 @@
 #include "rvv/codegen.hpp"
 
+#include <map>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 namespace sgp::rvv {
 
@@ -228,6 +231,23 @@ LoopCost loop_cost(const LoopSpec& spec, CodegenMode mode, Dialect d) {
   }
   (void)d;
   return cost;
+}
+
+LoopCost memoized_loop_cost(const LoopSpec& spec, CodegenMode mode,
+                            Dialect d) {
+  using Key = std::tuple<std::string, int, int, int, int, int, int, int,
+                         bool, CodegenMode, Dialect>;
+  static std::mutex mu;
+  static std::map<Key, LoopCost> memo;  // guarded by mu
+  Key key{spec.name,  spec.sew,  spec.vector_bits, spec.loads,
+          spec.stores, spec.fmacc, spec.fadd,        spec.fmul,
+          spec.reduction, mode, d};
+  const std::lock_guard<std::mutex> lock(mu);
+  auto it = memo.find(key);
+  if (it == memo.end()) {
+    it = memo.emplace(std::move(key), loop_cost(spec, mode, d)).first;
+  }
+  return it->second;
 }
 
 }  // namespace sgp::rvv

@@ -49,4 +49,11 @@ struct LoopCost {
 
 LoopCost loop_cost(const LoopSpec& spec, CodegenMode mode, Dialect d);
 
+/// loop_cost(), memoized for the process lifetime on every LoopSpec
+/// field plus mode and dialect. The performance model asks for the same
+/// few loop shapes thousands of times per sweep; this emits each one
+/// once. Thread-safe; throws like loop_cost() (failures are not cached).
+LoopCost memoized_loop_cost(const LoopSpec& spec, CodegenMode mode,
+                            Dialect d);
+
 }  // namespace sgp::rvv

@@ -14,15 +14,36 @@ namespace sgp::sim {
 Simulator::Simulator(machine::MachineDescriptor m)
     : m_(std::move(m)), cache_(m_), memory_(m_), core_(m_), sync_(m_) {
   m_.validate();
-  // Placement tables: assign_cores + analyze walk the NUMA/cluster
-  // topology through ordered maps — ~10 us per call on a 64-core
-  // descriptor, which used to dominate every run(). All
-  // 3 x num_cores results fit in a few KB, so resolve them once here.
+  // Placement tables. Under every policy assign_cores(m, p, n) is the
+  // first n entries of the full-machine order, so one walk of that order
+  // per placement yields every row: row n - 1 is a snapshot of the
+  // running occupancy counts after n threads. validate() guarantees the
+  // NUMA regions and clusters each partition the cores, so the two
+  // lookup vectors are total. machine::analyze stays the reference
+  // (tests/placement_test.cpp checks every row against it).
+  const auto ncores = static_cast<std::size_t>(m_.num_cores);
+  std::vector<std::size_t> region_of(ncores);
+  std::vector<std::size_t> cluster_of(ncores);
+  for (std::size_t r = 0; r < m_.numa.size(); ++r) {
+    for (int c : m_.numa[r].cores) region_of[static_cast<std::size_t>(c)] = r;
+  }
+  for (std::size_t cl = 0; cl < m_.clusters.size(); ++cl) {
+    for (int c : m_.clusters[cl]) cluster_of[static_cast<std::size_t>(c)] = cl;
+  }
   for (const auto p : machine::all_placements) {
     auto& table = placement_stats_[static_cast<std::size_t>(p)];
-    table.reserve(static_cast<std::size_t>(m_.num_cores));
-    for (int n = 1; n <= m_.num_cores; ++n) {
-      table.push_back(machine::analyze(m_, machine::assign_cores(m_, p, n)));
+    table.reserve(ncores);
+    machine::PlacementStats st;
+    st.threads_per_numa.assign(m_.numa.size(), 0);
+    st.threads_per_cluster.assign(m_.clusters.size(), 0);
+    for (int c : machine::assign_cores(m_, p, m_.num_cores)) {
+      const auto core = static_cast<std::size_t>(c);
+      const int in_region = ++st.threads_per_numa[region_of[core]];
+      const int in_cluster = ++st.threads_per_cluster[cluster_of[core]];
+      if (in_region == 1) ++st.regions_spanned;
+      st.max_per_numa = std::max(st.max_per_numa, in_region);
+      st.max_per_cluster = std::max(st.max_per_cluster, in_cluster);
+      table.push_back(st);
     }
   }
 }

@@ -11,8 +11,8 @@
 //                   resolved once per (machine, signature) and the
 //                   inner loops run over SoA scratch columns with zero
 //                   per-point allocation.
-// Placement-occupancy statistics (machine::analyze over every
-// (placement, nthreads) pair) are precomputed at construction, so
+// Placement-occupancy statistics (what machine::analyze returns for
+// every (placement, nthreads) pair) are precomputed at construction, so
 // neither path walks the topology per point.
 #pragma once
 
@@ -63,6 +63,9 @@ class Simulator {
  public:
   /// Takes ownership of the descriptor; validates it, then precomputes
   /// the placement-occupancy tables for every (placement, nthreads).
+  /// The tables are built incrementally, one walk of the full-machine
+  /// core order per placement, so construction is O(cores) rows of
+  /// O(regions + clusters) each.
   explicit Simulator(machine::MachineDescriptor m);
 
   const machine::MachineDescriptor& machine() const noexcept { return m_; }
@@ -86,8 +89,8 @@ class Simulator {
     return run(sig, cfg).total_s;
   }
 
-  /// Precomputed machine::analyze(assign_cores(...)) result; nthreads
-  /// must be in [1, num_cores].
+  /// Equals machine::analyze(m, assign_cores(m, p, nthreads)), read
+  /// from the precomputed table; nthreads must be in [1, num_cores].
   const machine::PlacementStats& placement_stats(machine::Placement p,
                                                  int nthreads) const {
     return placement_stats_[static_cast<std::size_t>(p)]

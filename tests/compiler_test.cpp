@@ -1,10 +1,17 @@
 // Tests for the compiler model: code path decisions, the paper's
-// capability counts, and the strip/memory overheads.
+// capability counts, the strip/memory overheads and the memoized loop
+// cost behind them.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
 
 #include "compiler/model.hpp"
 #include "kernels/register_all.hpp"
 #include "kernels/vector_facts.hpp"
+#include "machine/registry.hpp"
+#include "rvv/codegen.hpp"
 
 namespace sgp::compiler {
 namespace {
@@ -204,6 +211,125 @@ TEST(PatternEfficiency, OrderingIsSane) {
         AccessPattern::BlockedMatrix, AccessPattern::Sort}) {
     EXPECT_GT(pattern_vector_efficiency(p), 0.0);
     EXPECT_LE(pattern_vector_efficiency(p), 1.0);
+  }
+}
+
+// ----------------------------------------------- memoized loop cost --
+TEST(LoopCostMemo, MatchesDirectCountAcrossShapes) {
+  // Every LoopSpec field varies on its own, so a memo key that dropped
+  // one would hand some shape another shape's cost.
+  for (const auto mode : {rvv::CodegenMode::VLA, rvv::CodegenMode::VLS}) {
+    for (const auto d : {rvv::Dialect::V1_0, rvv::Dialect::V0_7_1}) {
+      for (const int sew : {32, 64}) {
+        for (const int bits : {128, 256}) {
+          for (int loads = 1; loads <= 4; ++loads) {
+            for (int stores = 0; stores <= 2; ++stores) {
+              for (int ops = 0; ops < 27; ++ops) {
+                for (const bool reduction : {false, true}) {
+                  rvv::LoopSpec spec;
+                  spec.name = "k";
+                  spec.sew = sew;
+                  spec.vector_bits = bits;
+                  spec.loads = loads;
+                  spec.stores = stores;
+                  spec.fmacc = ops % 3;
+                  spec.fadd = ops / 3 % 3;
+                  spec.fmul = ops / 9;
+                  spec.reduction = reduction;
+                  const auto direct = rvv::loop_cost(spec, mode, d);
+                  // First call may fill the memo, the second must hit it.
+                  for (int pass = 0; pass < 2; ++pass) {
+                    const auto memo = rvv::memoized_loop_cost(spec, mode, d);
+                    ASSERT_EQ(memo.vector_instrs_per_strip,
+                              direct.vector_instrs_per_strip);
+                    ASSERT_EQ(memo.scalar_instrs_per_strip,
+                              direct.scalar_instrs_per_strip);
+                    ASSERT_EQ(memo.elems_per_strip, direct.elems_per_strip);
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LoopCostMemo, InvalidShapesThrowAndAreNotCached) {
+  rvv::LoopSpec spec;
+  spec.sew = 16;
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_THROW((void)rvv::memoized_loop_cost(spec, rvv::CodegenMode::VLS,
+                                               rvv::Dialect::V1_0),
+                 std::invalid_argument);
+  }
+}
+
+/// Every plan() field for every signature x precision x (compiler,
+/// mode) pair on `m`, one line per combo, doubles in hex so equality is
+/// exact.
+std::string plan_listing(const machine::MachineDescriptor& m) {
+  std::string out;
+  char line[256];
+  for (const auto& sig : kernels::all_signatures()) {
+    for (const auto prec : core::all_precisions) {
+      for (const auto comp : {CompilerId::Gcc, CompilerId::Clang}) {
+        for (const auto mode :
+             {VectorMode::Scalar, VectorMode::VLS, VectorMode::VLA}) {
+          if (comp == CompilerId::Gcc && mode == VectorMode::VLA) continue;
+          const auto p = plan(sig, prec, comp, mode, m);
+          std::snprintf(line, sizeof line,
+                        "%s %d %d %d: %d %a %a %a %a %a %d %d\n",
+                        sig.name.c_str(), static_cast<int>(prec),
+                        static_cast<int>(comp), static_cast<int>(mode),
+                        p.vector_path ? 1 : 0, p.lanes, p.efficiency,
+                        p.overhead_instrs_per_strip, p.scalar_penalty,
+                        p.memory_efficiency, p.needs_rollback ? 1 : 0,
+                        static_cast<int>(p.note));
+          out += line;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(LoopCostMemo, PlansAreUnchanged) {
+  // Digests of plan_listing() taken with the loop cost counted by
+  // emitting the loop on every call, before it was memoized: every
+  // field of every plan must stay bit-identical.
+  machine::MachineRegistry reg;
+  machine::register_builtin_machines(reg);
+  const auto report = reg.register_ini_dir(SGP_MACHINES_DIR);
+  ASSERT_TRUE(report.ok());
+  const struct {
+    const char* machine;
+    std::uint64_t digest;
+  } pinned[] = {
+      {"sg2042", 0xff33e6b4693c72e0ull},
+      {"sg2044", 0xa3c164f476cd04c3ull},
+      {"visionfive-v2", 0x180539c0a5b9c667ull},
+  };
+  for (const auto& [name, digest] : pinned) {
+    // Twice: the first pass may fill the memo, the second reads it.
+    for (int pass = 0; pass < 2; ++pass) {
+      const std::string listing = plan_listing(reg.descriptor(name));
+      EXPECT_EQ(std::count(listing.begin(), listing.end(), '\n'),
+                static_cast<std::ptrdiff_t>(
+                    kernels::all_signatures().size() * 10))
+          << name;
+      EXPECT_EQ(fnv1a(listing), digest) << name << " pass " << pass;
+    }
   }
 }
 

@@ -377,11 +377,19 @@ TEST(EnginePersist, WarmEngineReplaysWithoutSimulating) {
     cold_out = small_sweep(eng);
     cold_sims = eng.counters().simulations;
     EXPECT_GT(cold_sims, 0u);
+    EXPECT_EQ(eng.counters().simulators_built, 1u);
   }  // destructor flushes
   engine::SweepEngine warm(persistent_options(dir.str(), 1));
   const auto warm_out = small_sweep(warm);
+  // The single-point path hits too.
+  sim::SimConfig one;
+  one.nthreads = 4;
+  const auto sigs = kernels::all_signatures();
+  EXPECT_EQ(warm.run(machine::sg2042(), sigs.front(), one).total_s,
+            warm_out[sigs.size()].total_s);
   const auto c = warm.counters();
   EXPECT_EQ(c.simulations, 0u);  // pure replay
+  EXPECT_EQ(c.simulators_built, 0u);  // all hits: no Simulator needed
   EXPECT_EQ(c.persist.cache.resumed_points, cold_sims);
   ASSERT_EQ(warm_out.size(), cold_out.size());
   for (std::size_t i = 0; i < cold_out.size(); ++i) {

@@ -1,12 +1,16 @@
 // Tests for the three thread-placement policies, including the exact
-// example mappings the paper gives for the SG2042.
+// example mappings the paper gives for the SG2042, and the Simulator's
+// precomputed placement tables against machine::analyze.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "machine/placement.hpp"
+#include "machine/registry.hpp"
+#include "sim/simulator.hpp"
 
 namespace sgp::machine {
 namespace {
@@ -43,6 +47,17 @@ TEST_P(PlacementProperties, AnalyzeCountsAddUp) {
   EXPECT_GE(stats.regions_spanned, 1);
   EXPECT_GE(stats.max_per_numa, 1);
   EXPECT_GE(stats.max_per_cluster, 1);
+}
+
+TEST_P(PlacementProperties, AssignmentIsPrefixOfFullOrder) {
+  // The Simulator builds its placement tables from this property.
+  const auto [mi, p, t] = GetParam();
+  const auto m = all_machines()[static_cast<std::size_t>(mi)];
+  if (t > m.num_cores) GTEST_SKIP();
+  const auto full = assign_cores(m, p, m.num_cores);
+  const auto cores = assign_cores(m, p, t);
+  ASSERT_LE(cores.size(), full.size());
+  EXPECT_TRUE(std::equal(cores.begin(), cores.end(), full.begin()));
 }
 
 TEST_P(PlacementProperties, FullMachineUsesEveryCore) {
@@ -170,6 +185,39 @@ TEST(Placement, ToStringNames) {
   EXPECT_EQ(to_string(Placement::Block), "block");
   EXPECT_EQ(to_string(Placement::CyclicNuma), "cyclic");
   EXPECT_EQ(to_string(Placement::ClusterCyclic), "cluster");
+}
+
+// -------------------------------------- Simulator placement tables --
+TEST(PlacementTables, EveryRowMatchesAnalyze) {
+  // Every registered machine, built-in and shipped pack, under every
+  // placement and every thread count.
+  MachineRegistry reg;
+  register_builtin_machines(reg);
+  const auto report = reg.register_ini_dir(SGP_MACHINES_DIR);
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(reg.contains("sg2042-2s"));
+  std::size_t rows = 0;
+  for (const auto& name : reg.names()) {
+    const MachineDescriptor& m = reg.descriptor(name);
+    const sim::Simulator sim(m);
+    for (const auto p : all_placements) {
+      for (int n = 1; n <= m.num_cores; ++n) {
+        const std::string where = name + " " + std::string(to_string(p)) +
+                                  " n=" + std::to_string(n);
+        const PlacementStats want = analyze(m, assign_cores(m, p, n));
+        const PlacementStats& got = sim.placement_stats(p, n);
+        EXPECT_EQ(got.threads_per_numa, want.threads_per_numa) << where;
+        EXPECT_EQ(got.threads_per_cluster, want.threads_per_cluster)
+            << where;
+        EXPECT_EQ(got.regions_spanned, want.regions_spanned) << where;
+        EXPECT_EQ(got.max_per_numa, want.max_per_numa) << where;
+        EXPECT_EQ(got.max_per_cluster, want.max_per_cluster) << where;
+        ++rows;
+      }
+    }
+  }
+  // 3 placements x the core counts of 8 built-ins and 2 packs.
+  EXPECT_GE(rows, 1131u);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Contract tests for the batched evaluation path: EvalContext +
 // Simulator::run_batch must be bit-identical to per-point
 // Simulator::run, the structured note fields must render the exact
-// historical strings, the engine's batched memo path must survive
-// concurrent run_grid callers, and the sgp-serve note output is pinned
-// against a golden captured before notes became structured.
+// historical strings, the engine's batched memo path and
+// compiler::plan's loop-cost memo must survive concurrent callers, and
+// the sgp-serve note output is pinned against a golden captured before
+// notes became structured.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,6 +19,7 @@
 #include "kernels/register_all.hpp"
 #include "machine/descriptor.hpp"
 #include "machine/placement.hpp"
+#include "rvv/codegen.hpp"
 #include "serve/server.hpp"
 #include "sim/eval_context.hpp"
 #include "sim/simulator.hpp"
@@ -260,6 +262,102 @@ TEST(SimBatch, ConcurrentRunGridCallersAgreeWithSerialReference) {
   const auto counters = shared.counters();
   EXPECT_EQ(counters.requests,
             static_cast<std::uint64_t>(kCallers) * reference.size());
+}
+
+// ------------------------------------ compiler::plan under concurrency --
+
+TEST(SimBatch, ConcurrentPlansAgreeWithSerialReference) {
+  // Engine workers call compiler::plan concurrently, and plan reads the
+  // process-wide loop-cost memo. Callers race on a cold memo (the loop
+  // names are fresh) and on every plan combo; each must agree with the
+  // direct loop_cost and with a serial pass run after the join.
+  const std::vector<machine::MachineDescriptor> machines = {
+      machine::sg2042(), machine::amd_rome(), machine::visionfive_v2()};
+  const auto sigs = kernels::all_signatures();
+  const std::pair<core::CompilerId, core::VectorMode> combos[] = {
+      {core::CompilerId::Gcc, core::VectorMode::Scalar},
+      {core::CompilerId::Gcc, core::VectorMode::VLS},
+      {core::CompilerId::Clang, core::VectorMode::VLS},
+      {core::CompilerId::Clang, core::VectorMode::VLA},
+  };
+  auto plans_of = [&] {
+    std::vector<compiler::CodegenPlan> out;
+    for (const auto& m : machines) {
+      for (const auto& sig : sigs) {
+        for (const auto prec : core::all_precisions) {
+          for (const auto& [comp, mode] : combos) {
+            out.push_back(compiler::plan(sig, prec, comp, mode, m));
+          }
+        }
+      }
+    }
+    return out;
+  };
+  std::vector<rvv::LoopSpec> specs;
+  for (const int sew : {32, 64}) {
+    for (int loads = 1; loads <= 4; ++loads) {
+      rvv::LoopSpec spec;
+      spec.name = "concurrent_fill";
+      spec.sew = sew;
+      spec.loads = loads;
+      specs.push_back(spec);
+    }
+  }
+  constexpr rvv::CodegenMode kModes[] = {rvv::CodegenMode::VLA,
+                                         rvv::CodegenMode::VLS};
+
+  constexpr int kCallers = 8;
+  std::vector<std::vector<compiler::CodegenPlan>> got(kCallers);
+  std::vector<std::vector<rvv::LoopCost>> costs(kCallers);
+  {
+    std::vector<std::thread> callers;
+    callers.reserve(kCallers);
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        for (const auto& spec : specs) {
+          for (const auto mode : kModes) {
+            costs[c].push_back(
+                rvv::memoized_loop_cost(spec, mode, rvv::Dialect::V1_0));
+          }
+        }
+        got[c] = plans_of();
+      });
+    }
+    for (auto& th : callers) th.join();
+  }
+
+  const auto reference = plans_of();
+  for (int c = 0; c < kCallers; ++c) {
+    std::size_t k = 0;
+    for (const auto& spec : specs) {
+      for (const auto mode : kModes) {
+        const auto direct = rvv::loop_cost(spec, mode, rvv::Dialect::V1_0);
+        EXPECT_EQ(costs[c][k].scalar_instrs_per_strip,
+                  direct.scalar_instrs_per_strip);
+        EXPECT_EQ(costs[c][k].vector_instrs_per_strip,
+                  direct.vector_instrs_per_strip);
+        ++k;
+      }
+    }
+    ASSERT_EQ(got[c].size(), reference.size()) << c;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      const auto& a = reference[i];
+      const auto& b = got[c][i];
+      const std::string where =
+          "caller " + std::to_string(c) + " plan " + std::to_string(i);
+      EXPECT_EQ(a.vector_path, b.vector_path) << where;
+      EXPECT_TRUE(same_bits(a.lanes, b.lanes)) << where;
+      EXPECT_TRUE(same_bits(a.efficiency, b.efficiency)) << where;
+      EXPECT_TRUE(same_bits(a.overhead_instrs_per_strip,
+                            b.overhead_instrs_per_strip))
+          << where;
+      EXPECT_TRUE(same_bits(a.scalar_penalty, b.scalar_penalty)) << where;
+      EXPECT_TRUE(same_bits(a.memory_efficiency, b.memory_efficiency))
+          << where;
+      EXPECT_EQ(a.needs_rollback, b.needs_rollback) << where;
+      EXPECT_EQ(a.note, b.note) << where;
+    }
+  }
 }
 
 // ---------------------------------------------- serve note golden --
