@@ -7,15 +7,13 @@
 // Hierarchy::access_batch. The buffers live in a ReplayArena that the
 // replay engine reuses across calls, so steady-state replays allocate
 // nothing: the arena caches the most recent decodes keyed by
-// (SweepSpec, line_bytes) and hands back shard-partitioned views for
-// the parallel single-replay path without rebuilding them.
+// (SweepSpec, line_bytes).
 //
 // Lifetime rules (docs/CACHESIM.md): a DecodedSweep reference returned
 // by ReplayArena::decoded stays valid until the arena evicts it (after
 // kSlots further distinct decodes) or the arena is destroyed. The
-// replay engine's default arena is thread_local — callers that replay
-// from multiple threads concurrently either use the default (each
-// thread gets its own) or pass explicit per-thread arenas; one arena
+// replay engine always decodes into the thread_local default arena, so
+// concurrent replays on different threads never share one; an arena
 // must never be shared across threads without external locking.
 #pragma once
 
@@ -64,23 +62,11 @@ class ReplayArena {
   const DecodedSweep& decoded(const SweepSpec& spec,
                               std::size_t line_bytes);
 
-  /// Partitions `dec.segments` into `shards` buffers by line-address
-  /// class ((addr >> log2(line_bytes)) & (shards - 1)), preserving
-  /// order within each shard. `shards` must be a power of two. The
-  /// returned views are owned by the arena and reused by the next
-  /// partition call.
-  const std::vector<std::vector<LineSegment>>& partition(
-      const DecodedSweep& dec, std::size_t shards);
-
-  /// Drops all cached decodes (keeps capacity).
-  void clear();
-
   /// The engine-wide default arena for this thread.
   static ReplayArena& thread_default();
 
  private:
   std::vector<DecodedSweep> slots_;
-  std::vector<std::vector<LineSegment>> shard_bufs_;
   std::uint64_t use_clock_ = 0;
 };
 

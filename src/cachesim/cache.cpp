@@ -15,10 +15,6 @@ std::uint32_t log2_pow2(std::size_t v) {
   return s;
 }
 
-// Invalid-way sentinel. Real tags are addr / line_bytes / num_sets;
-// with line_bytes >= 8 a tag never exceeds 2^61, so all-ones is free.
-constexpr Addr kInvalidTag = ~Addr{0};
-
 constexpr std::uint32_t kChunkMax =
     std::numeric_limits<std::uint32_t>::max();
 }  // namespace
@@ -39,28 +35,18 @@ void CacheConfig::validate() const {
   }
 }
 
-Cache::Cache(CacheConfig config, ShardView shard)
-    : config_(std::move(config)) {
+Cache::Cache(CacheConfig config) : config_(std::move(config)) {
   config_.validate();
   line_shift_ = log2_pow2(config_.line_bytes);
-  set_shift_ = log2_pow2(config_.num_sets());
-  shard_log2_ = shard.count_log2;
-  shard_index_ = shard.index;
-  if (shard_log2_ > set_shift_) {
-    throw std::invalid_argument(config_.name +
-                                ": shard count exceeds set count");
-  }
-  if (shard_index_ >= (std::uint32_t{1} << shard_log2_)) {
-    throw std::invalid_argument(config_.name + ": shard index out of range");
-  }
-  const std::size_t phys_sets = config_.num_sets() >> shard_log2_;
-  phys_set_mask_ = phys_sets - 1;
+  const std::size_t sets = config_.num_sets();
+  set_shift_ = log2_pow2(sets);
+  set_mask_ = sets - 1;
   ways_ = config_.ways;
   lru_ = config_.policy == ReplacementPolicy::LRU;
   write_allocate_ = config_.write_allocate;
-  tags_.assign(phys_sets * ways_, kInvalidTag);
-  stamps_.assign(phys_sets * ways_, 0);
-  dirty_.assign(phys_sets * ways_, 0);
+  tags_.resize(sets * ways_);  // all-zero (invalid) and untouched
+  stamps_.resize(sets * ways_);
+  dirty_.resize(sets * ways_);
 }
 
 bool Cache::access(Addr addr, bool is_write) {
@@ -88,8 +74,6 @@ Cache::LineOutcome Cache::access_line(Addr addr, bool is_write,
 Cache::LineOutcome Cache::access_rw(Addr addr, std::uint32_t reads,
                                     std::uint32_t writes) {
   assert(reads + std::uint64_t{writes} >= 1);
-  assert(((addr >> line_shift_) & ((std::size_t{1} << shard_log2_) - 1)) ==
-         shard_index_);
   const std::uint64_t n = std::uint64_t{reads} + writes;
   // Advancing the clock by n up front is equivalent to n single-access
   // bumps: no other line's stamp changes in between, so victim
@@ -100,8 +84,8 @@ Cache::LineOutcome Cache::access_rw(Addr addr, std::uint32_t reads,
   Addr* const tags = tags_.data() + base;
   const std::size_t ways = ways_;
 
-  // Linear probe over the contiguous tag row; invalid ways hold a
-  // sentinel that can never match.
+  // Linear probe over the contiguous tag row; invalid ways hold 0,
+  // which no tag word can match.
   std::size_t w = 0;
   while (w < ways && tags[w] != tag) ++w;
   if (w != ways) [[likely]] {
@@ -143,12 +127,10 @@ Cache::LineOutcome Cache::access_rw(Addr addr, std::uint32_t reads,
     if (dirty_[base + v]) {
       ++stats_.writebacks;
       out.writeback = true;
-      // Reconstruct the victim's full set index from the physical row
-      // plus this view's shard class (a victim shares the set — hence
-      // the shard — of the incoming line).
-      const Addr full_set =
-          ((static_cast<Addr>(base / ways) << shard_log2_) | shard_index_);
-      out.victim_addr = ((tags[v] << set_shift_) | full_set) << line_shift_;
+      // The victim shares the incoming line's set.
+      const Addr set = static_cast<Addr>(base / ways);
+      out.victim_addr = (((tags[v] - 1) << set_shift_) | set)
+                        << line_shift_;
     }
   }
   tags[v] = tag;
@@ -194,7 +176,7 @@ bool Cache::probe(Addr addr) const {
 }
 
 void Cache::flush() {
-  tags_.assign(tags_.size(), kInvalidTag);
+  tags_.assign(tags_.size(), 0);
   stamps_.assign(stamps_.size(), 0);
   dirty_.assign(dirty_.size(), 0);
 }
@@ -202,28 +184,17 @@ void Cache::flush() {
 std::size_t Cache::resident_lines() const {
   std::size_t n = 0;
   for (const Addr t : tags_) {
-    if (t != kInvalidTag) ++n;
+    if (t != 0) ++n;
   }
   return n;
 }
 
-Hierarchy::Hierarchy(std::vector<CacheConfig> levels, ShardView shard) {
+Hierarchy::Hierarchy(std::vector<CacheConfig> levels) {
   if (levels.empty()) {
     throw std::invalid_argument("Hierarchy: needs at least one level");
   }
-  if (shard.count_log2 > 0) {
-    // Sharding partitions lines by address class; that only partitions
-    // every level's sets when line geometry is uniform and each level
-    // has at least `shards` sets (see max_shards in replay.hpp).
-    for (const auto& cfg : levels) {
-      if (cfg.line_bytes != levels.front().line_bytes) {
-        throw std::invalid_argument(
-            "Hierarchy: shard views need uniform line_bytes");
-      }
-    }
-  }
   caches_.reserve(levels.size());
-  for (auto& cfg : levels) caches_.emplace_back(std::move(cfg), shard);
+  for (auto& cfg : levels) caches_.emplace_back(std::move(cfg));
   pending_wb_.reserve(caches_.size());
 }
 
@@ -343,13 +314,6 @@ std::uint64_t Hierarchy::dram_bytes() const {
   return (last.stats().misses() + last.stats().writebacks +
           last.stats().wb_misses) *
          last.config().line_bytes;
-}
-
-void Hierarchy::merge_telemetry(const RunTelemetry& t) {
-  telemetry_.runs += t.runs;
-  telemetry_.line_segments += t.line_segments;
-  telemetry_.coalesced += t.coalesced;
-  telemetry_.accesses += t.accesses;
 }
 
 void Hierarchy::flush() {

@@ -19,8 +19,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace sgp::cachesim {
@@ -126,15 +129,33 @@ struct LineSegment {
   bool operator==(const LineSegment&) const = default;
 };
 
-/// Set-shard view for parallel single-replay: the cache stores only the
-/// sets whose line address satisfies `line % (1 << count_log2) ==
-/// index`, at 1/2^count_log2 of the configured capacity. Sets partition
-/// lines disjointly, so replaying a shard-filtered trace on a shard
-/// view is bit-identical to the serial replay restricted to those sets
-/// (docs/CACHESIM.md has the determinism argument).
-struct ShardView {
-  std::uint32_t count_log2 = 0;  ///< log2 of the shard count
-  std::uint32_t index = 0;       ///< this shard's line class
+/// Allocator for the per-set state arrays: calloc storage and no-op
+/// value-initialisation, so a freshly sized vector is all-zero without
+/// touching its pages. Large arrays come back as fresh mmap pages, so
+/// a cache's untouched sets cost neither page faults nor a memset: a
+/// replay on the SG2042 hierarchy (17 MB of state for its 64 MB L3)
+/// pays only for the sets its sweep touches, not for the whole L3.
+template <typename T>
+struct ZeroedAlloc {
+  using value_type = T;
+  ZeroedAlloc() = default;
+  template <typename U>
+  ZeroedAlloc(const ZeroedAlloc<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    if (void* p = std::calloc(n, sizeof(T))) return static_cast<T*>(p);
+    throw std::bad_alloc();
+  }
+  void deallocate(T* p, std::size_t) noexcept { std::free(p); }
+  /// Value-initialisation: calloc already zeroed the element.
+  template <typename U>
+  void construct(U*) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+  friend bool operator==(const ZeroedAlloc&, const ZeroedAlloc&) {
+    return true;
+  }
 };
 
 /// One level of cache. Accesses report hit/miss; misses are meant to be
@@ -150,7 +171,7 @@ class Cache {
     Addr victim_addr = 0;  ///< line-aligned address of the dirty victim
   };
 
-  explicit Cache(CacheConfig config, ShardView shard = {});
+  explicit Cache(CacheConfig config);
 
   const CacheConfig& config() const noexcept { return config_; }
   const CacheStats& stats() const noexcept { return stats_; }
@@ -206,36 +227,32 @@ class Cache {
   std::size_t resident_lines() const;
 
  private:
-  /// Physical row of `addr`'s set in the (possibly shard-view) arrays.
   std::size_t set_of(Addr addr) const noexcept {
-    return static_cast<std::size_t>(
-               (addr >> line_shift_) >> shard_log2_) &
-           phys_set_mask_;
+    return static_cast<std::size_t>(addr >> line_shift_) & set_mask_;
   }
+  /// The word stored in tags_: the tag plus one, so that zero marks
+  /// an invalid way (real tags are < 2^61 for >= 8-byte lines).
   Addr tag_of(Addr addr) const noexcept {
-    return (addr >> line_shift_) >> set_shift_;
+    return ((addr >> line_shift_) >> set_shift_) + 1;
   }
 
   CacheConfig config_;
   CacheStats stats_;
 
-  // Structure-of-arrays per-set state, each sized phys_sets * ways and
-  // indexed row-major by (physical set, way). Invalid ways hold
-  // kInvalidTag (never a real tag: tags are < 2^61 for >= 8-byte
-  // lines) and stamp 0 (valid lines always stamp >= 1, so the victim
-  // scan is a single min-stamp probe that naturally prefers the first
-  // invalid way, exactly like the legacy first-invalid-else-oldest
-  // walk).
-  std::vector<Addr> tags_;
-  std::vector<std::uint64_t> stamps_;
-  std::vector<std::uint8_t> dirty_;
+  // Structure-of-arrays per-set state, each sized sets * ways and
+  // indexed row-major by (set, way). Invalid ways are all-zero: tag
+  // word 0 (see tag_of) and stamp 0 (valid lines always stamp >= 1, so
+  // the victim scan is a single min-stamp probe that naturally prefers
+  // the first invalid way, exactly like the legacy
+  // first-invalid-else-oldest walk).
+  std::vector<Addr, ZeroedAlloc<Addr>> tags_;
+  std::vector<std::uint64_t, ZeroedAlloc<std::uint64_t>> stamps_;
+  std::vector<std::uint8_t, ZeroedAlloc<std::uint8_t>> dirty_;
 
   std::uint64_t clock_ = 0;
   std::uint32_t line_shift_ = 0;  ///< log2(line_bytes)
-  std::uint32_t set_shift_ = 0;   ///< log2(num_sets), full geometry
-  std::uint32_t shard_log2_ = 0;
-  std::uint32_t shard_index_ = 0;
-  std::size_t phys_set_mask_ = 0;  ///< physical sets - 1
+  std::uint32_t set_shift_ = 0;   ///< log2(num_sets)
+  std::size_t set_mask_ = 0;      ///< num_sets - 1
   std::size_t ways_ = 0;
   bool lru_ = true;
   bool write_allocate_ = true;
@@ -259,7 +276,7 @@ class Hierarchy {
     std::uint64_t accesses = 0;       ///< logical accesses replayed
   };
 
-  explicit Hierarchy(std::vector<CacheConfig> levels, ShardView shard = {});
+  explicit Hierarchy(std::vector<CacheConfig> levels);
 
   /// Performs one access; returns the deepest level index that HIT, or
   /// levels() if it went to memory.
@@ -282,7 +299,7 @@ class Hierarchy {
   const Cache& level(std::size_t i) const { return caches_.at(i); }
 
   /// Adds an externally computed stats delta to one level (replay
-  /// steady-state extrapolation, shard merging).
+  /// steady-state extrapolation).
   void add_stats(std::size_t level, const CacheStats& delta) {
     caches_.at(level).add_stats(delta);
   }
@@ -291,8 +308,6 @@ class Hierarchy {
   std::uint64_t dram_bytes() const;
 
   const RunTelemetry& telemetry() const noexcept { return telemetry_; }
-  /// Folds a shard's telemetry into this hierarchy's (shard merging).
-  void merge_telemetry(const RunTelemetry& t);
 
   void flush();
 

@@ -66,18 +66,4 @@ std::vector<CacheConfig> hierarchy_configs(
   return cfgs;
 }
 
-Hierarchy hierarchy_for(const machine::MachineDescriptor& m,
-                        int l2_sharers, int l3_sharers) {
-  return Hierarchy(hierarchy_configs(m, l2_sharers, l3_sharers));
-}
-
-ReplayResult replay(const machine::MachineDescriptor& m,
-                    const SweepSpec& spec, int reps, int l2_sharers,
-                    int l3_sharers) {
-  ReplayOptions opt;
-  opt.l2_sharers = l2_sharers;
-  opt.l3_sharers = l3_sharers;
-  return replay_stream(m, spec, reps, opt);
-}
-
 }  // namespace sgp::cachesim

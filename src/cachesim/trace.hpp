@@ -1,7 +1,6 @@
 // Synthetic address-trace generators mirroring the AccessPattern
-// taxonomy of the analytical model, and helpers to build a cache
-// hierarchy from a machine descriptor and replay kernel-like sweeps on
-// it.
+// taxonomy of the analytical model, and the per-level cache configs
+// of a machine descriptor that kernel-like sweeps replay on.
 #pragma once
 
 #include <cstdint>
@@ -42,35 +41,23 @@ struct SweepSpec {
 /// concrete trace.
 Trace generate_sweep(const SweepSpec& spec);
 
-/// Cache hierarchy mirroring a machine descriptor's per-core view
+/// Per-level configs mirroring a machine descriptor's per-core view
 /// (private L1, the core's share of L2, the core's share of L3 when
 /// core-side). `l2_sharers`/`l3_sharers` model how many active cores
-/// divide the shared levels.
-Hierarchy hierarchy_for(const machine::MachineDescriptor& m,
-                        int l2_sharers = 1, int l3_sharers = 1);
-
-/// The per-level configs hierarchy_for builds — exposed so replays can
-/// construct several hierarchies (e.g. one per set-shard) from the
-/// same descriptor, and so config-level oracles can perturb them.
+/// divide the shared levels. Build a Hierarchy from them, or perturb
+/// them for config-level oracles.
 std::vector<CacheConfig> hierarchy_configs(
     const machine::MachineDescriptor& m, int l2_sharers = 1,
     int l3_sharers = 1);
 
-/// Replays the sweep `reps` times (flushing nothing in between, like a
-/// RAJAPerf kernel re-running over resident data) and returns the
-/// hierarchy for inspection. Delegates to the streaming engine
-/// (replay_stream in replay.hpp): runs are coalesced per cache line
-/// and reps are extrapolated once the per-level deltas go periodic —
-/// the statistics are bit-identical to the full vector replay.
+/// Outcome of replaying a sweep `reps` times (flushing nothing in
+/// between, like a RAJAPerf kernel re-running over resident data) —
+/// see replay_stream / replay_vector in replay.hpp.
 struct ReplayResult {
   Hierarchy hierarchy;
   std::uint64_t accesses = 0;
   /// Miss rate of the *last* rep at each level (steady state).
   std::vector<double> steady_miss_rate;
 };
-
-ReplayResult replay(const machine::MachineDescriptor& m,
-                    const SweepSpec& spec, int reps, int l2_sharers = 1,
-                    int l3_sharers = 1);
 
 }  // namespace sgp::cachesim

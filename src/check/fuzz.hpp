@@ -37,13 +37,12 @@ machine::MachineDescriptor random_machine(unsigned seed);
 CheckReport fuzz_invariants(unsigned first_seed, unsigned num_seeds,
                             const FuzzOptions& opt = {}, int jobs = 1);
 
-/// Replays every access pattern through all three cachesim replay
-/// paths — the legacy vector-materialized one, the arena-decoded
-/// batch/stream engine with steady-state early exit, and the
-/// set-sharded parallel single-replay — on machine `m` (plus FIFO and
-/// write-around config perturbations of its hierarchy) and demands
-/// bit-identical per-level CacheStats, DRAM bytes, access counts and
-/// steady miss rates (invariant "cachesim-replay-agreement").
+/// Replays every access pattern through both cachesim replay paths —
+/// the legacy vector-materialized reference and the arena-decoded
+/// batch/stream engine with steady-state early exit — on machine `m`
+/// (plus FIFO and write-around config perturbations of its hierarchy)
+/// and demands bit-identical per-level CacheStats, DRAM bytes, access
+/// counts and steady miss rates (invariant "cachesim-replay-agreement").
 CheckReport cachesim_agreement(const machine::MachineDescriptor& m);
 
 /// cachesim_agreement over `num_seeds` random machines starting at

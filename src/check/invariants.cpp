@@ -232,7 +232,7 @@ void InvariantChecker::check_cachesim_consistency(
                 "analytic model serves a half-L1 working set from " +
                     std::string(sim::to_string(level)));
 
-    const auto rr = cachesim::replay(m, spec, 3);
+    const auto rr = cachesim::replay_stream(m, spec, 3);
     rec.observe("cachesim-steady-hits",
                 !rr.steady_miss_rate.empty() &&
                     rr.steady_miss_rate.front() < 0.02,
@@ -279,7 +279,8 @@ void InvariantChecker::check_cachesim_consistency(
 
     const int l2_sharers = std::max(1, m.l2.shared_by);
     const int l3_sharers = m.l3.present() ? std::max(1, m.l3.shared_by) : 1;
-    auto hier = cachesim::hierarchy_for(m, l2_sharers, l3_sharers);
+    cachesim::Hierarchy hier(
+        cachesim::hierarchy_configs(m, l2_sharers, l3_sharers));
     cachesim::TraceCursor cursor(spec);
     cachesim::AccessRun run;
     while (cursor.next(run)) hier.access_run(run);  // warm

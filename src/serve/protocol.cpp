@@ -265,6 +265,14 @@ Request build_request(const JsonValue& root, const ProtocolLimits& limits) {
   if (const JsonValue* v = root.find("vector")) {
     req.vector_mode = parse_vector_mode(field_str(*v, "vector", 16));
   }
+  // compiler::plan refuses this pair; the compiler defaults to gcc, so
+  // a bare "vector":"vla" lands here too.
+  if (req.vector_mode == core::VectorMode::VLA &&
+      req.compiler == core::CompilerId::Gcc) {
+    bad("vector mode 'vla' needs compiler 'clang': GCC only generates "
+        "VLS RVV code (valid pairs: gcc with scalar | vls, clang with "
+        "scalar | vls | vla)");
+  }
   if (const JsonValue* p = root.find("placement")) {
     req.placement = parse_placement(field_str(*p, "placement", 16));
   }

@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "cachesim/cache.hpp"
+#include "cachesim/replay.hpp"
 #include "cachesim/trace.hpp"
 #include "machine/placement.hpp"
 #include "sim/cache_model.hpp"
@@ -248,7 +249,7 @@ TEST_P(AnalyticalAgreement, ServingLevelMatchesSteadyMissRates) {
   SweepSpec spec;
   spec.arrays = 2;
   spec.elems = elems;
-  const auto result = replay(m, spec, 4);
+  const auto result = replay_stream(m, spec, 4);
   const auto& mr = result.steady_miss_rate;
   ASSERT_EQ(mr.size(), 3u);
 
@@ -287,8 +288,8 @@ TEST(AnalyticalAgreementExtra, StreamingNeverReusesAcrossRepsWhenHuge) {
   SweepSpec spec;
   spec.arrays = 2;
   spec.elems = 1 << 22;
-  const auto result = replay(m, spec, 2, /*l2_sharers=*/1,
-                             /*l3_sharers=*/2);
+  const auto result =
+      replay_stream(m, spec, 2, {.l2_sharers = 1, .l3_sharers = 2});
   // With only half the L3 (two sharers) the last level keeps missing.
   EXPECT_GT(result.steady_miss_rate.back(), 0.5);
 }
@@ -299,8 +300,8 @@ TEST(AnalyticalAgreementExtra, L2SharingDegradesResidency) {
   SweepSpec spec;
   spec.arrays = 1;
   spec.elems = (700 * 1024) / 8;  // ~700 KB
-  const auto alone = replay(m, spec, 4, /*l2_sharers=*/1);
-  const auto shared = replay(m, spec, 4, /*l2_sharers=*/4);
+  const auto alone = replay_stream(m, spec, 4, {.l2_sharers = 1});
+  const auto shared = replay_stream(m, spec, 4, {.l2_sharers = 4});
   EXPECT_LT(alone.steady_miss_rate[1], 0.1);
   EXPECT_GT(shared.steady_miss_rate[1], 0.5);
 }
@@ -313,8 +314,8 @@ TEST(AnalyticalAgreementExtra, StridedSweepWastesLines) {
   SweepSpec strided = unit;
   strided.pattern = core::AccessPattern::Strided;
   strided.stride_elems = 16;  // two lines apart for 8B elements
-  const auto r_unit = replay(m, unit, 2);
-  const auto r_str = replay(m, strided, 2);
+  const auto r_unit = replay_stream(m, unit, 2);
+  const auto r_str = replay_stream(m, strided, 2);
   // Same element count, but the strided walk revisits lines across
   // phases after they were evicted -> more L1 misses.
   EXPECT_GT(r_str.steady_miss_rate[0], r_unit.steady_miss_rate[0]);

@@ -169,6 +169,25 @@ TEST(Protocol, RejectsUnknownFieldsMachinesAndKernels) {
   EXPECT_NE(kernel_err.message.find("TRIAD"), std::string::npos);
 }
 
+TEST(Protocol, RejectsGccWithVla) {
+  // Explicit gcc and the gcc default both fail validation, before any
+  // simulation could throw from compiler::plan.
+  for (const std::string compiler : {R"("compiler":"gcc",)", ""}) {
+    const auto err = parse_err(
+        R"({"id":"a","op":"simulate","machine":"sg2042","kernel":"TRIAD",)"
+        R"("precision":"fp64","threads":1,)" +
+        compiler + R"("vector":"vla"})");
+    EXPECT_EQ(err.code, serve::ErrorCode::BadRequest) << compiler;
+    EXPECT_NE(err.message.find("clang with scalar | vls | vla"),
+              std::string::npos)
+        << err.message;
+  }
+  parse_ok(R"({"id":"a","op":"sweep","machine":"sg2042","threads":1,)"
+           R"("compiler":"clang","vector":"vla"})");
+  parse_ok(R"({"id":"a","op":"sweep","machine":"sg2042","threads":1,)"
+           R"("vector":"vls"})");
+}
+
 TEST(Protocol, BoundsThreadsByMachine) {
   // d1 is single-core: threads 2 is out of range there, fine on sg2042.
   EXPECT_EQ(parse_err(R"({"id":"a","op":"sweep","machine":"d1",)"
