@@ -227,8 +227,12 @@ inline void print_series(std::ostream& out, const std::string& title,
     for (const auto& s : series) {
       const auto& gr = s.groups[g];
       row.push_back(report::Table::num(gr.mean, 2));
-      row.push_back("[" + report::Table::num(gr.min, 2) + ", " +
-                    report::Table::num(gr.max, 2) + "]");
+      std::string range = "[";
+      range += report::Table::num(gr.min, 2);
+      range += ", ";
+      range += report::Table::num(gr.max, 2);
+      range += ']';
+      row.push_back(std::move(range));
     }
     t.add_row(std::move(row));
   }

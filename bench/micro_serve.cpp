@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "serve/json.hpp"
 #include "serve/server.hpp"
 
 namespace {

@@ -44,7 +44,10 @@ std::string id_ranges(const std::vector<int>& ids) {
     while (j + 1 < ids.size() && ids[j + 1] == ids[j] + 1) ++j;
     if (!out.empty()) out += ",";
     out += std::to_string(ids[i]);
-    if (j > i) out += "-" + std::to_string(ids[j]);
+    if (j > i) {
+      out += '-';
+      out += std::to_string(ids[j]);
+    }
     i = j + 1;
   }
   return out;

@@ -405,7 +405,10 @@ EngineCounters SweepEngine::counters() const {
   }
   if (store_) {
     out.persist.enabled = true;
-    out.persist.store = store_->stats();
+    {
+      std::lock_guard<std::mutex> lock(flush_mu_);
+      out.persist.store = store_->stats();
+    }
     out.persist.cache = cache_.persist_stats();
     out.persist.undecodable_entries =
         undecodable_entries_.load(std::memory_order_relaxed);

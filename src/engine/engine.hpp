@@ -71,7 +71,7 @@ struct EngineOptions {
   bool use_cache = true;
   /// Crash-safe persistence; disabled by default (and ignored when
   /// use_cache is false — there is nothing to persist).
-  std::optional<EnginePersistence> persist;
+  std::optional<EnginePersistence> persist = std::nullopt;
 };
 
 /// Wall time and request volume attributed to one named phase.
@@ -232,9 +232,10 @@ class SweepEngine {
   std::size_t flush_min_entries_ = 0;
   std::string persist_note_;
   std::atomic<std::uint64_t> undecodable_entries_{0};
-  /// Guards pending_ and serializes flushes (including the final one
-  /// in the destructor) against the background flush thread.
-  std::mutex flush_mu_;
+  /// Guards pending_ and the store's statistics, and serializes flushes
+  /// (including the final one in the destructor) against the
+  /// background flush thread.
+  mutable std::mutex flush_mu_;
   std::vector<std::pair<CacheKey, sim::TimeBreakdown>> pending_;
   std::atomic<std::uint64_t> pending_count_{0};
   std::thread flush_thread_;

@@ -1,81 +1,12 @@
-// Strict JSON parsing for the sgp-serve request path.
-//
-// The obs layer already ships a JSON *validator* (obs/json.hpp); the
-// daemon needs a *reader*: requests arrive as line-delimited JSON from
-// untrusted clients, so the parser here builds a small DOM under hard
-// limits (depth, element counts) and never throws on malformed input —
-// every failure is a structured error with an approximate byte offset,
-// classified deterministically so the fuzz driver can replay it.
-//
-// Grammar is RFC 8259 with the strictness the fuzz tests demand:
-//   * exactly one top-level value, no trailing bytes;
-//   * strings must be valid UTF-8 (overlong encodings, lone surrogates
-//     in \u escapes and stray continuation bytes are rejected);
-//   * numbers must round-trip through from_chars;
-//   * duplicate object keys are rejected (a request with two "id"
-//     fields is ambiguous, and ambiguity on untrusted input is a bug).
+// serve::parse_u64, the integer parser for CLI flags and request
+// fields. JSON itself, reading and writing, lives in obs/json.hpp.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <optional>
-#include <string>
 #include <string_view>
-#include <vector>
 
 namespace sgp::serve {
-
-class JsonValue;
-using JsonArray = std::vector<JsonValue>;
-/// Ordered map: error messages ("unknown field ...") are deterministic.
-using JsonObject = std::vector<std::pair<std::string, JsonValue>>;
-
-/// One parsed JSON value. Numbers keep their raw token so integer
-/// fields can be re-parsed at full 64-bit range (a double loses
-/// precision above 2^53 — exactly the --inject-seed bug this PR fixes).
-class JsonValue {
- public:
-  enum class Kind { Null, Bool, Number, String, Array, Object };
-
-  Kind kind = Kind::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string raw;     ///< exact number token (Kind::Number only)
-  std::string string;  ///< decoded text (Kind::String only)
-  JsonArray array;
-  JsonObject object;
-
-  bool is_null() const noexcept { return kind == Kind::Null; }
-  bool is_bool() const noexcept { return kind == Kind::Bool; }
-  bool is_number() const noexcept { return kind == Kind::Number; }
-  bool is_string() const noexcept { return kind == Kind::String; }
-  bool is_array() const noexcept { return kind == Kind::Array; }
-  bool is_object() const noexcept { return kind == Kind::Object; }
-
-  /// Member lookup on an object; nullptr when absent or not an object.
-  const JsonValue* find(std::string_view key) const noexcept;
-};
-
-/// Outcome of one parse: either `value` is set, or `error` holds a
-/// human-readable message with `offset` pointing near the problem.
-struct JsonParse {
-  std::optional<JsonValue> value;
-  std::string error;
-  std::size_t offset = 0;
-
-  bool ok() const noexcept { return value.has_value(); }
-};
-
-struct JsonLimits {
-  std::size_t max_depth = 32;        ///< nesting of arrays/objects
-  std::size_t max_elements = 4096;   ///< total values in the document
-  std::size_t max_string_bytes = 64 * 1024;  ///< one decoded string
-};
-
-/// Parses exactly one JSON document from `text`. Never throws on
-/// malformed input; limits violations are ordinary parse errors.
-JsonParse json_parse(std::string_view text, const JsonLimits& limits = {});
 
 /// Full-string, range-checked unsigned 64-bit parser: accepts only an
 /// optional-free decimal integer ("0".."18446744073709551615"), rejects

@@ -11,6 +11,7 @@
 #include "machine/descriptor.hpp"
 #include "machine/registry.hpp"
 #include "obs/json.hpp"
+#include "serve/json.hpp"
 
 namespace sgp::serve {
 
@@ -65,7 +66,7 @@ struct FieldError {
   throw FieldError{{ErrorCode::TooLarge, std::move(message)}};
 }
 
-std::string field_str(const JsonValue& v, std::string_view name,
+std::string field_str(const obs::JsonValue& v, std::string_view name,
                       std::size_t max_bytes) {
   if (!v.is_string()) {
     bad("field '" + std::string(name) + "' must be a string");
@@ -84,7 +85,7 @@ std::string field_str(const JsonValue& v, std::string_view name,
 /// round-trips through the shared parse_u64 parser — "-1", "4.0" and
 /// "1e3" are all rejected, and values above 2^53 keep full precision
 /// (the same parser suite_cli's --inject-seed now uses).
-std::uint64_t field_u64(const JsonValue& v, std::string_view name,
+std::uint64_t field_u64(const obs::JsonValue& v, std::string_view name,
                         std::uint64_t max_value) {
   std::optional<std::uint64_t> parsed;
   if (v.is_number()) {
@@ -103,7 +104,7 @@ std::uint64_t field_u64(const JsonValue& v, std::string_view name,
   return *parsed;
 }
 
-double field_pos_double(const JsonValue& v, std::string_view name,
+double field_pos_double(const obs::JsonValue& v, std::string_view name,
                         double max_value) {
   if (!v.is_number() || !(v.number > 0.0)) {
     bad("field '" + std::string(name) + "' must be a positive number");
@@ -165,12 +166,13 @@ bool is_simulation_field(std::string_view k) {
          k == "vector" || k == "placement" || k == "format";
 }
 
-Request build_request(const JsonValue& root, const ProtocolLimits& limits) {
+Request build_request(const obs::JsonValue& root,
+                      const ProtocolLimits& limits) {
   Request req;
-  const JsonValue* id = root.find("id");
+  const obs::JsonValue* id = root.find("id");
   if (id == nullptr) bad("missing field 'id'");
   req.id = field_str(*id, "id", limits.max_id_bytes);
-  const JsonValue* op = root.find("op");
+  const obs::JsonValue* op = root.find("op");
   if (op == nullptr) bad("missing field 'op'");
   req.op = parse_op(field_str(*op, "op", 32));
 
@@ -183,14 +185,14 @@ Request build_request(const JsonValue& root, const ProtocolLimits& limits) {
         std::string(to_string(req.op)) + "'");
   }
 
-  if (const JsonValue* dl = root.find("deadline_ms")) {
+  if (const obs::JsonValue* dl = root.find("deadline_ms")) {
     req.deadline_ms = field_pos_double(*dl, "deadline_ms",
                                        limits.max_deadline_ms);
   }
   if (!sim_op) return req;
 
   // ------------------------------------------ simulation fields --
-  const JsonValue* mach = root.find("machine");
+  const obs::JsonValue* mach = root.find("machine");
   if (mach == nullptr) bad("missing field 'machine'");
   req.machine = field_str(*mach, "machine", 64);
   const auto& registry = machine::shared_registry();
@@ -209,9 +211,9 @@ Request build_request(const JsonValue& root, const ProtocolLimits& limits) {
   if (root.find("kernel") != nullptr && root.find("kernels") != nullptr) {
     bad("fields 'kernel' and 'kernels' are mutually exclusive");
   }
-  if (const JsonValue* k = root.find("kernel")) {
+  if (const obs::JsonValue* k = root.find("kernel")) {
     req.kernels.push_back(field_str(*k, "kernel", 64));
-  } else if (const JsonValue* ks = root.find("kernels")) {
+  } else if (const obs::JsonValue* ks = root.find("kernels")) {
     if (!ks->is_array() || ks->array.empty()) {
       bad("field 'kernels' must be a non-empty array of kernel names");
     }
@@ -232,11 +234,11 @@ Request build_request(const JsonValue& root, const ProtocolLimits& limits) {
   }
 
   req.precisions = {core::Precision::FP32, core::Precision::FP64};
-  if (const JsonValue* p = root.find("precision")) {
+  if (const obs::JsonValue* p = root.find("precision")) {
     req.precisions = parse_precision(field_str(*p, "precision", 16));
   }
   req.threads = {1};
-  if (const JsonValue* t = root.find("threads")) {
+  if (const obs::JsonValue* t = root.find("threads")) {
     req.threads.clear();
     if (t->is_array()) {
       if (t->array.empty()) {
@@ -259,10 +261,10 @@ Request build_request(const JsonValue& root, const ProtocolLimits& limits) {
       }
     }
   }
-  if (const JsonValue* c = root.find("compiler")) {
+  if (const obs::JsonValue* c = root.find("compiler")) {
     req.compiler = parse_compiler(field_str(*c, "compiler", 16));
   }
-  if (const JsonValue* v = root.find("vector")) {
+  if (const obs::JsonValue* v = root.find("vector")) {
     req.vector_mode = parse_vector_mode(field_str(*v, "vector", 16));
   }
   // compiler::plan refuses this pair; the compiler defaults to gcc, so
@@ -273,10 +275,10 @@ Request build_request(const JsonValue& root, const ProtocolLimits& limits) {
         "VLS RVV code (valid pairs: gcc with scalar | vls, clang with "
         "scalar | vls | vla)");
   }
-  if (const JsonValue* p = root.find("placement")) {
+  if (const obs::JsonValue* p = root.find("placement")) {
     req.placement = parse_placement(field_str(*p, "placement", 16));
   }
-  if (const JsonValue* f = root.find("format")) {
+  if (const obs::JsonValue* f = root.find("format")) {
     req.format = parse_format(field_str(*f, "format", 16));
   }
   if (req.op == Op::Simulate && req.points() != 1) {
@@ -326,7 +328,7 @@ ParseOutcome parse_request(std::string_view line,
                    "request line exceeds " +
                        std::to_string(limits.max_line_bytes) + " bytes"});
   }
-  const JsonParse parsed = json_parse(line, limits.json);
+  const obs::JsonParse parsed = obs::json_parse(line, limits.json);
   if (!parsed.ok()) {
     return std::make_pair(
         std::string(),
@@ -341,7 +343,7 @@ ParseOutcome parse_request(std::string_view line,
   }
   // Recover the id for error correlation even when validation fails.
   std::string id;
-  if (const JsonValue* v = parsed.value->find("id");
+  if (const obs::JsonValue* v = parsed.value->find("id");
       v != nullptr && v->is_string() &&
       v->string.size() <= limits.max_id_bytes) {
     id = v->string;

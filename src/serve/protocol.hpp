@@ -19,7 +19,7 @@
 
 #include "core/types.hpp"
 #include "machine/placement.hpp"
-#include "serve/json.hpp"
+#include "obs/json.hpp"
 
 namespace sgp::serve {
 
@@ -95,7 +95,7 @@ struct ProtocolLimits {
   std::size_t max_points = 4096;          ///< grid size per request
   std::size_t max_id_bytes = 128;
   double max_deadline_ms = 3600.0 * 1000.0;
-  JsonLimits json;
+  obs::JsonLimits json;
 };
 
 /// Parses and validates one request line. The failure side carries the

@@ -1,7 +1,8 @@
-// Contract tests for the observability layer: histogram bucketing
-// edges, registry snapshot/exporter agreement, span nesting (including
-// across thread-pool workers via AdoptParent), trace JSON
-// well-formedness and the run-manifest writer.
+// Contract tests for the observability layer: the one JSON grammar
+// (writer and strict reader), histogram bucketing edges, registry
+// snapshot/exporter agreement, span nesting (including across
+// thread-pool workers via AdoptParent), trace JSON well-formedness and
+// the run-manifest writer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,18 +39,90 @@ TEST(ObsJson, NumberIsLocaleIndependentAndFiniteOnly) {
             "null");
 }
 
-TEST(ObsJson, ValidatorAcceptsWellFormedValues) {
-  EXPECT_TRUE(obs::json_valid("{}"));
-  EXPECT_TRUE(obs::json_valid("[1, 2.5, -3e4, \"x\", true, null]"));
-  EXPECT_TRUE(obs::json_valid("{\"a\": {\"b\": [\"\\u00e9\"]}}"));
+TEST(ObsJson, QuoteAlwaysEmitsValidUtf8) {
+  // Bytes that start no well-formed UTF-8 sequence (a stray byte, an
+  // overlong NUL, an encoded surrogate) each become U+FFFD.
+  for (const std::string bad : {"\xff", "\xc0\x80", "\xed\xa0\x80"}) {
+    const std::string quoted = obs::json_quote(bad);
+    const obs::JsonParse parsed = obs::json_parse(quoted);
+    ASSERT_TRUE(parsed.ok()) << parsed.error << " in " << quoted;
+    std::string expected;
+    for (std::size_t i = 0; i < bad.size(); ++i) expected += "\xef\xbf\xbd";
+    EXPECT_EQ(parsed.value->string, expected);
+  }
+  EXPECT_EQ(obs::json_quote("a\xe2\x82"), "\"a\xef\xbf\xbd\xef\xbf\xbd\"");
+  // Valid UTF-8 passes through byte for byte.
+  EXPECT_EQ(obs::json_quote("\xc3\xa9"), "\"\xc3\xa9\"");
+  const obs::JsonParse e = obs::json_parse(obs::json_quote("\xc3\xa9"));
+  ASSERT_TRUE(e.ok());
+  EXPECT_EQ(e.value->string, "\xc3\xa9");
 }
 
-TEST(ObsJson, ValidatorRejectsMalformedValues) {
-  EXPECT_FALSE(obs::json_valid(""));
-  EXPECT_FALSE(obs::json_valid("{\"a\": 1,}"));     // trailing comma
-  EXPECT_FALSE(obs::json_valid("{\"a\": nan}"));    // not a JSON token
-  EXPECT_FALSE(obs::json_valid("{\"a\": 1} extra"));
-  EXPECT_FALSE(obs::json_valid("{\"a\""));          // truncated
+// One grammar: the self-check (json_valid) and the request reader
+// (json_parse, default limits) accept and reject the same documents.
+const std::vector<std::string> kWellFormedJson = {
+    "{}",
+    "[1, 2.5, -3e4, \"x\", true, null]",
+    "{\"a\": {\"b\": [\"\\u00e9\"]}}",
+    "{\"a\":[1,2.5,-3e2,null,true]}",
+    "{\"a\":\"\xc3\xa9\"}",  // é
+};
+
+const std::vector<std::string> kMalformedJson = {
+    "",
+    "{\"a\": 1,}",  // trailing comma
+    "{\"a\":1,}",
+    "{\"a\": nan}",  // not a JSON token
+    "{\"a\": 1} extra",
+    "{}trailing",
+    "{\"a\"",  // truncated
+    "{'a':1}",
+    "{\"a\":01}",
+    "{\"a\":1 \"b\":2}",
+    "{\"a\":1,\"a\":2}",         // duplicate key
+    "{\"a\":\"\xff\"}",          // stray byte
+    "{\"a\":\"\xc0\x80\"}",      // overlong NUL
+    "{\"a\":\"\xed\xa0\x80\"}",  // encoded surrogate
+    "\"\\ud800\"",               // lone surrogate escape
+    "1e999",                     // out of double range
+};
+
+TEST(ObsJson, AcceptsWellFormedValues) {
+  for (const std::string& text : kWellFormedJson) {
+    EXPECT_TRUE(obs::json_valid(text)) << text;
+    EXPECT_TRUE(obs::json_parse(text).ok()) << text;
+  }
+}
+
+TEST(ObsJson, RejectsMalformedValues) {
+  for (const std::string& text : kMalformedJson) {
+    EXPECT_FALSE(obs::json_valid(text)) << text;
+    EXPECT_FALSE(obs::json_parse(text).ok()) << text;
+  }
+}
+
+TEST(ObsJson, ErrorNamesTheOffset) {
+  EXPECT_EQ(obs::json_error("{}trailing").value_or(""),
+            "trailing bytes after JSON value at offset 2");
+  EXPECT_FALSE(obs::json_error("{}").has_value());
+}
+
+TEST(ObsJson, ParseEnforcesRequestLimits) {
+  obs::JsonLimits limits;
+  limits.max_depth = 3;
+  EXPECT_FALSE(obs::json_parse("[[[[0]]]]", limits).ok());
+  EXPECT_TRUE(obs::json_parse("[[[0]]]", limits).ok());
+}
+
+TEST(ObsJson, SelfCheckHasNoElementOrStringCap) {
+  std::string many = "[0";
+  for (int i = 0; i < 5000; ++i) many += ",0";
+  many += "]";
+  const std::string big = "\"" + std::string(70 * 1024, 'x') + "\"";
+  for (const std::string& text : {many, big}) {
+    EXPECT_FALSE(obs::json_parse(text).ok());
+    EXPECT_TRUE(obs::json_valid(text));
+  }
 }
 
 // ---------------------------------------------------------- metrics --
@@ -241,6 +314,19 @@ TEST(ObsManifest, RendersWellFormedJson) {
   EXPECT_NE(json.find("\"obs_test_tool\""), std::string::npos);
   EXPECT_NE(json.find("\"warmup\""), std::string::npos);
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
+}
+
+TEST(ObsManifest, NonUtf8ValueRendersValidJson) {
+  obs::RunManifest man("obs_test_tool");
+  man.add("persist", "checkpoint", "/tmp/ck\xff.bin");
+  const std::string json = man.to_json(obs::MetricsSnapshot{});
+  const obs::JsonParse parsed = obs::json_parse(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.error << " in " << json;
+  const obs::JsonValue* persist = parsed.value->find("persist");
+  ASSERT_NE(persist, nullptr);
+  const obs::JsonValue* checkpoint = persist->find("checkpoint");
+  ASSERT_NE(checkpoint, nullptr);
+  EXPECT_EQ(checkpoint->string, "/tmp/ck\xef\xbf\xbd.bin");
 }
 
 TEST(ObsManifest, EmbeddedMetricsEqualRegistrySnapshot) {
