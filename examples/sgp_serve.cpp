@@ -39,7 +39,8 @@ Engine:
                        docs/MACHINES.md)
 
 Admission:
-  --max-queue <n>      queue slots before "overloaded" rejections (256)
+  --max-queue <n>      queue slots before socket clients get "overloaded"
+                       (pipe/file input waits for room instead) (256)
   --max-batch <n>      max requests drained per worker batch (64)
 
 Other:

@@ -25,6 +25,8 @@ struct OpMix {
   }
   /// Total memory accesses (elements) per iteration.
   constexpr double mem_accesses() const noexcept { return loads + stores; }
+
+  bool operator==(const OpMix&) const = default;
 };
 
 }  // namespace sgp::core

@@ -30,6 +30,8 @@ struct VectorizationFacts {
   constexpr bool effective() const noexcept {
     return vectorizes && runtime_vector_path;
   }
+
+  bool operator==(const VectorizationFacts&) const = default;
 };
 
 /// Static description of one kernel for the performance model. All
@@ -92,6 +94,9 @@ struct KernelSignature {
   const VectorizationFacts& facts(CompilerId c) const noexcept {
     return c == CompilerId::Gcc ? gcc : clang;
   }
+
+  /// Field-wise equality (the fingerprint memo's hit check).
+  bool operator==(const KernelSignature&) const = default;
 };
 
 }  // namespace sgp::core

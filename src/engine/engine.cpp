@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "sim/eval_context.hpp"
 #include "threading/pool.hpp"
 
 namespace sgp::engine {
@@ -130,9 +129,12 @@ void SweepEngine::set_jobs(int jobs) {
   pool_.reset();  // re-created lazily at the next batch
 }
 
-const sim::Simulator& SweepEngine::simulator_for(
+SweepEngine::CachedContext::CachedContext(const sim::Simulator& sim,
+                                          core::KernelSignature sig)
+    : signature(std::move(sig)), ctx(sim, signature) {}
+
+const sim::Simulator& SweepEngine::simulator_locked(
     const machine::MachineDescriptor& m, std::uint64_t machine_fp) {
-  std::lock_guard<std::mutex> lock(sims_mu_);
   auto it = sims_.find(machine_fp);
   if (it == sims_.end()) {
     it = sims_.emplace(machine_fp, std::make_unique<sim::Simulator>(m))
@@ -143,10 +145,16 @@ const sim::Simulator& SweepEngine::simulator_for(
   return *it->second;
 }
 
+const sim::Simulator& SweepEngine::simulator_for(
+    const machine::MachineDescriptor& m, std::uint64_t machine_fp) {
+  std::lock_guard<std::mutex> lock(sims_mu_);
+  return simulator_locked(m, machine_fp);
+}
+
 sim::TimeBreakdown SweepEngine::run_point(const SweepPoint& p) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   EngineMetrics::get().requests.add();
-  const std::uint64_t machine_fp = machine_fingerprint(*p.machine);
+  const std::uint64_t machine_fp = fingerprints_.machine(*p.machine);
   auto compute = [&] {
     const sim::Simulator& simulator = simulator_for(*p.machine, machine_fp);
     simulations_.fetch_add(1, std::memory_order_relaxed);
@@ -162,7 +170,7 @@ sim::TimeBreakdown SweepEngine::run_point(const SweepPoint& p) {
     return out;
   };
   if (!use_cache_) return compute();
-  const CacheKey key{machine_fp, signature_fingerprint(*p.signature),
+  const CacheKey key{machine_fp, fingerprints_.signature(*p.signature),
                      config_fingerprint(p.config)};
   return cache_.get_or_compute(key, compute);
 }
@@ -186,24 +194,16 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   requests_.fetch_add(points.size(), std::memory_order_relaxed);
   EngineMetrics::get().requests.add(points.size());
 
-  // Group the batch by (machine, signature) identity: the expensive
-  // fingerprint prefix (machine_fingerprint walks to_ini plus every
-  // descriptor field, ~10 us; signature_fingerprint ~30 fields) is
-  // computed once per group, so each point only hashes its SimConfig.
+  // Group the batch by (machine, signature) identity, so the interned
+  // fingerprints are looked up once per group and each point only
+  // hashes its SimConfig.
   struct Group {
     const machine::MachineDescriptor* machine = nullptr;
     const core::KernelSignature* signature = nullptr;
-    const sim::Simulator* simulator = nullptr;  ///< set iff misses
     std::uint64_t machine_fp = 0;
     std::uint64_t signature_fp = 0;
-    std::vector<std::size_t> miss;  ///< result indices left to price
-  };
-  struct MachineEntry {
-    const machine::MachineDescriptor* machine;
-    std::uint64_t fp;
   };
   std::vector<Group> groups;
-  std::vector<MachineEntry> machines;
   std::vector<std::uint32_t> point_group(points.size());
   std::vector<CacheKey> keys(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -211,31 +211,21 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
     // Batches come from grids: the same few (machine, signature) pairs
     // repeat point after point, so a linear scan beats hashing.
     std::size_t g = groups.size();
+    std::size_t same_machine = groups.size();
     for (std::size_t j = 0; j < groups.size(); ++j) {
-      if (groups[j].machine == p.machine &&
-          groups[j].signature == p.signature) {
+      if (groups[j].machine != p.machine) continue;
+      same_machine = j;
+      if (groups[j].signature == p.signature) {
         g = j;
         break;
       }
     }
     if (g == groups.size()) {
-      Group group;
-      group.machine = p.machine;
-      group.signature = p.signature;
-      std::size_t me = machines.size();
-      for (std::size_t j = 0; j < machines.size(); ++j) {
-        if (machines[j].machine == p.machine) {
-          me = j;
-          break;
-        }
-      }
-      if (me == machines.size()) {
-        const std::uint64_t fp = machine_fingerprint(*p.machine);
-        machines.push_back(MachineEntry{p.machine, fp});
-      }
-      group.machine_fp = machines[me].fp;
-      group.signature_fp = signature_fingerprint(*p.signature);
-      groups.push_back(std::move(group));
+      const std::uint64_t machine_fp =
+          same_machine < groups.size() ? groups[same_machine].machine_fp
+                                       : fingerprints_.machine(*p.machine);
+      groups.push_back(Group{p.machine, p.signature, machine_fp,
+                             fingerprints_.signature(*p.signature)});
     }
     point_group[i] = static_cast<std::uint32_t>(g);
     keys[i] = CacheKey{groups[g].machine_fp, groups[g].signature_fp,
@@ -248,78 +238,119 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   if (use_cache_) {
     cache_.lookup_batch(keys, results, hit);
   }
+
+  // Lay the misses out group by group (a counting sort on the group
+  // index), so each group prices one contiguous slice.
+  std::vector<std::size_t> offset(groups.size() + 1, 0);
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!hit[i]) groups[point_group[i]].miss.push_back(i);
+    if (!hit[i]) ++offset[point_group[i] + 1];
   }
-  // Only groups with work to price need a Simulator, so an all-hit
-  // batch (a warm restart) builds none.
-  for (Group& g : groups) {
-    if (!g.miss.empty()) g.simulator = &simulator_for(*g.machine, g.machine_fp);
+  for (std::size_t g = 0; g < groups.size(); ++g) offset[g + 1] += offset[g];
+  const std::size_t misses = offset.back();
+  if (misses == 0) {
+    maybe_flush();
+    return results;  // all hits (a warm restart): no Simulator built
   }
-
-  // Price the misses through sim::Simulator::run_batch, one EvalContext
-  // per task so workers share nothing mutable. Large groups are split
-  // into chunks so a single-group grid still spreads over the pool.
-  constexpr std::size_t kPriceChunk = 256;
-  struct Task {
-    std::size_t group;
-    std::size_t begin;
-    std::size_t end;
-  };
-  std::vector<Task> tasks;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (std::size_t b = 0; b < groups[g].miss.size(); b += kPriceChunk) {
-      tasks.push_back(
-          Task{g, b, std::min(b + kPriceChunk, groups[g].miss.size())});
-    }
-  }
-
-  auto price_task = [&](const Task& t) {
-    const Group& g = groups[t.group];
-    const std::size_t len = t.end - t.begin;
-    sim::EvalContext ctx(*g.simulator, *g.signature);
-    std::vector<sim::SimConfig> cfgs(len);
-    std::vector<sim::TimeBreakdown> outs(len);
-    std::vector<CacheKey> miss_keys(len);
-    for (std::size_t k = 0; k < len; ++k) {
-      const std::size_t i = g.miss[t.begin + k];
+  std::vector<std::size_t> order(misses);  ///< result index per miss
+  std::vector<sim::SimConfig> cfgs(misses);
+  std::vector<CacheKey> miss_keys(misses);
+  {
+    std::vector<std::size_t> fill(offset.begin(), offset.end() - 1);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if (hit[i]) continue;
+      const std::size_t k = fill[point_group[i]]++;
+      order[k] = i;
       cfgs[k] = points[i].config;
       miss_keys[k] = keys[i];
     }
-    const auto t0 = std::chrono::steady_clock::now();
-    g.simulator->run_batch(ctx, cfgs, outs);
+  }
+
+  // Resolve each group's engine-lifetime context and prepare the combos
+  // its slice needs, here on the calling thread: workers then only read
+  // shared contexts. A bad signature throws from the EvalContext
+  // constructor before anything is cached; a bad config throws from
+  // prepare() before anything is priced.
+  struct Slice {
+    const sim::Simulator* simulator;
+    const sim::EvalContext* ctx;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<Slice> slices;
+  {
+    std::lock_guard<std::mutex> lock(sims_mu_);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      if (offset[g] == offset[g + 1]) continue;
+      const Group& grp = groups[g];
+      const sim::Simulator& simulator =
+          simulator_locked(*grp.machine, grp.machine_fp);
+      const std::pair key{grp.machine_fp, grp.signature_fp};
+      auto it = contexts_.find(key);
+      if (it == contexts_.end()) {
+        it = contexts_
+                 .emplace(key, std::make_unique<CachedContext>(
+                                   simulator, *grp.signature))
+                 .first;
+      }
+      sim::EvalContext& ctx = it->second->ctx;
+      ctx.prepare(std::span<const sim::SimConfig>(
+          cfgs.data() + offset[g], offset[g + 1] - offset[g]));
+      slices.push_back(Slice{&simulator, &ctx, offset[g], offset[g + 1]});
+    }
+  }
+
+  std::vector<sim::TimeBreakdown> outs(misses);
+  auto price = [&](const Slice& s) {
+    const std::size_t len = s.end - s.begin;
+    s.simulator->run_batch(
+        *s.ctx, std::span<const sim::SimConfig>(cfgs.data() + s.begin, len),
+        std::span<sim::TimeBreakdown>(outs.data() + s.begin, len));
+  };
+  auto add_sim_ns = [&](std::chrono::steady_clock::time_point t0) {
     sim_ns_.fetch_add(
         static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - t0)
                 .count()),
         std::memory_order_relaxed);
-    simulations_.fetch_add(len, std::memory_order_relaxed);
-    EngineMetrics::get().simulations.add(len);
-    for (std::size_t k = 0; k < len; ++k) {
-      results[g.miss[t.begin + k]] = outs[k];
-    }
-    if (use_cache_) cache_.insert_batch(miss_keys, outs);
   };
 
-  if (jobs_ == 1 || tasks.size() <= 1) {
-    for (const Task& t : tasks) price_task(t);
+  if (jobs_ == 1 || misses < kPoolMinMisses) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const Slice& s : slices) price(s);
+    add_sim_ns(t0);
   } else {
+    // Split large slices so a single-group grid still spreads over the
+    // pool.
+    constexpr std::size_t kPriceChunk = 256;
+    std::vector<Slice> tasks;
+    for (const Slice& s : slices) {
+      for (std::size_t b = s.begin; b < s.end; b += kPriceChunk) {
+        tasks.push_back(
+            Slice{s.simulator, s.ctx, b, std::min(b + kPriceChunk, s.end)});
+      }
+    }
     // The pool's job slot is single-occupancy, so concurrent run_batch
     // callers serialize here (cache lookups above stay concurrent).
     std::lock_guard<std::mutex> pool_lock(pool_mu_);
     if (!pool_) pool_ = std::make_unique<threading::ThreadPool>(jobs_);
-    // Grain 1: tasks have irregular cost (group sizes and thread counts
-    // vary wildly across a grid). Rethrows the first exception after
-    // the join; results are discarded in that case.
+    // Grain 1: tasks have irregular cost (thread counts vary wildly
+    // across a grid). Rethrows the first exception after the join;
+    // nothing is cached in that case.
     pool_->parallel_for_dynamic(
         tasks.size(), 1,
         [&](std::size_t begin, std::size_t end, int /*worker*/) {
-          for (std::size_t i = begin; i < end; ++i) {
-            price_task(tasks[i]);
+          for (std::size_t t = begin; t < end; ++t) {
+            const auto t0 = std::chrono::steady_clock::now();
+            price(tasks[t]);
+            add_sim_ns(t0);
           }
         });
   }
+  simulations_.fetch_add(misses, std::memory_order_relaxed);
+  EngineMetrics::get().simulations.add(misses);
+  for (std::size_t k = 0; k < misses; ++k) results[order[k]] = outs[k];
+  if (use_cache_) cache_.insert_batch(miss_keys, outs);
   maybe_flush();
   return results;
 }
@@ -395,6 +426,10 @@ EngineCounters SweepEngine::counters() const {
       simulators_built_.load(std::memory_order_relaxed);
   out.batches = batches_.load(std::memory_order_relaxed);
   out.sim_ns = sim_ns_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(sims_mu_);
+    out.contexts = contexts_.size();
+  }
   const CacheStats cs = cache_.stats();
   out.cache_hits = cs.hits;
   out.cache_misses = cs.misses;
@@ -433,7 +468,9 @@ void SweepEngine::reset_counters() {
 
 void SweepEngine::clear_cache() {
   cache_.clear();
+  fingerprints_.clear();
   std::lock_guard<std::mutex> lock(sims_mu_);
+  contexts_.clear();  // contexts borrow the simulators: drop them first
   sims_.clear();
 }
 

@@ -7,12 +7,13 @@
 //     keyed by (machine fingerprint, signature fingerprint, SimConfig
 //     fingerprint) — see engine/fingerprint.hpp;
 //   * build each machine's Simulator once per engine, not once per
-//     pipeline;
-//   * fan batches of evaluation points out over a
-//     sgp::threading::ThreadPool with dynamic scheduling (grain 1:
-//     points have irregular cost). Batches fill a pre-sized result
-//     vector by index, so parallel output is exactly equal to a
-//     forced-serial run;
+//     pipeline, and one sim::EvalContext per (machine, signature) for
+//     the engine's lifetime;
+//   * price a batch's misses inline on the calling thread when there
+//     are fewer than kPoolMinMisses of them (every paper grid), and fan
+//     larger batches out over a sgp::threading::ThreadPool with dynamic
+//     scheduling. Batches fill a pre-sized result vector by index, so
+//     parallel output is exactly equal to a forced-serial run;
 //   * count everything (requests, hits, Simulator::run executions,
 //     simulators built, batches, wall time per named phase) for the
 //     bench binaries' --perf flag and BENCH_sweep.json.
@@ -40,6 +41,7 @@
 #include "engine/fingerprint.hpp"
 #include "engine/persist.hpp"
 #include "obs/trace.hpp"
+#include "sim/eval_context.hpp"
 
 namespace sgp::threading {
 class ThreadPool;
@@ -96,6 +98,7 @@ struct EngineCounters {
   std::uint64_t cache_misses = 0;  ///< memo cache lookups that missed
   std::uint64_t simulations = 0;   ///< actual Simulator::run executions
   std::uint64_t simulators_built = 0;
+  std::uint64_t contexts = 0;     ///< engine-lifetime EvalContexts held
   std::uint64_t batches = 0;      ///< run_batch/run_grid calls
   std::uint64_t cache_entries = 0;
   /// Wall nanoseconds spent inside Simulator::run, summed across
@@ -149,12 +152,18 @@ class SweepEngine {
     return run(m, sig, cfg).total_s;
   }
 
+  /// Fewest misses a batch must have before its pricing goes to the
+  /// worker pool; below it the calling thread prices them inline. Set at
+  /// the crossover of a single-signature grid priced inline against
+  /// the two-worker pool (see docs/ENGINE.md "Threading").
+  static constexpr std::size_t kPoolMinMisses = 4096;
+
   /// Evaluate a batch of points; results are positionally aligned with
   /// `points` regardless of scheduling. Safe to call from multiple
-  /// threads on one engine: cache lookups/inserts are sharded, and the
-  /// worker-pool dispatch (whose job slot is single-occupancy) is
-  /// serialized on pool_mu_ — concurrent callers overlap on hits and
-  /// take turns pricing misses.
+  /// threads on one engine: cache lookups/inserts are sharded, shared
+  /// EvalContexts are prepared under sims_mu_ and only read while
+  /// pricing, and the worker-pool dispatch (whose job slot is
+  /// single-occupancy) is serialized on pool_mu_.
   std::vector<sim::TimeBreakdown> run_batch(
       std::span<const SweepPoint> points);
 
@@ -192,9 +201,10 @@ class SweepEngine {
 
   EngineCounters counters() const;
   void reset_counters();
-  /// Drops all memoized results and per-machine simulators. Not
-  /// thread-safe against in-flight batches. Durable segments on disk
-  /// are untouched (delete the store directory to really start cold).
+  /// Drops all memoized results, per-machine simulators, their
+  /// evaluation contexts and the fingerprint memo. Not thread-safe
+  /// against in-flight batches. Durable segments on disk are untouched
+  /// (delete the store directory to really start cold).
   void clear_cache();
 
   // ----------------------------------------------- persistence --
@@ -215,6 +225,24 @@ class SweepEngine {
   }
 
  private:
+  /// The engine-lifetime context of one (machine, signature) pair. It
+  /// owns a copy of the signature, so no caller's object is borrowed.
+  struct CachedContext {
+    CachedContext(const sim::Simulator& sim, core::KernelSignature sig);
+    const core::KernelSignature signature;
+    sim::EvalContext ctx;  ///< borrows `signature`
+  };
+  struct ContextKeyHash {
+    std::size_t operator()(
+        const std::pair<std::uint64_t, std::uint64_t>& k) const noexcept {
+      return static_cast<std::size_t>(k.first ^
+                                      (k.second * 0x9e3779b97f4a7c15ull));
+    }
+  };
+
+  /// Requires sims_mu_.
+  const sim::Simulator& simulator_locked(const machine::MachineDescriptor& m,
+                                         std::uint64_t machine_fp);
   const sim::Simulator& simulator_for(const machine::MachineDescriptor& m,
                                       std::uint64_t machine_fp);
   sim::TimeBreakdown run_point(const SweepPoint& p);
@@ -243,8 +271,15 @@ class SweepEngine {
   std::mutex flush_cv_mu_;
   bool stop_flusher_ = false;  ///< guarded by flush_cv_mu_
 
-  std::mutex sims_mu_;
+  FingerprintMemo fingerprints_;
+
+  /// Guards sims_, contexts_ and every EvalContext::prepare call.
+  mutable std::mutex sims_mu_;
   std::unordered_map<std::uint64_t, std::unique_ptr<sim::Simulator>> sims_;
+  /// Keyed by (machine fingerprint, signature fingerprint).
+  std::unordered_map<std::pair<std::uint64_t, std::uint64_t>,
+                     std::unique_ptr<CachedContext>, ContextKeyHash>
+      contexts_;
 
   /// Guards lazy pool creation and dispatch: ThreadPool has one job
   /// slot, so concurrent run_batch callers must not dispatch at once.

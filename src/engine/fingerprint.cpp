@@ -135,4 +135,34 @@ std::uint64_t config_fingerprint(const sim::SimConfig& cfg) {
   return h.digest();
 }
 
+template <class T, class Hash>
+std::uint64_t FingerprintMemo::intern(Map<T>& map, const T& obj, Hash hash) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = map.find(&obj);
+    if (it != map.end() && it->second.copy == obj) return it->second.fp;
+  }
+  // Hash outside the lock; a racing caller computes the same value.
+  Entry<T> entry{obj, hash(obj)};
+  const std::uint64_t fp = entry.fp;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (map.size() >= kMaxEntries) map.clear();
+  map.insert_or_assign(&obj, std::move(entry));
+  return fp;
+}
+
+std::uint64_t FingerprintMemo::machine(const machine::MachineDescriptor& m) {
+  return intern(machines_, m, machine_fingerprint);
+}
+
+std::uint64_t FingerprintMemo::signature(const core::KernelSignature& sig) {
+  return intern(signatures_, sig, signature_fingerprint);
+}
+
+void FingerprintMemo::clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  machines_.clear();
+  signatures_.clear();
+}
+
 }  // namespace sgp::engine

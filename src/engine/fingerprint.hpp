@@ -14,7 +14,9 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string_view>
+#include <unordered_map>
 
 #include "core/signature.hpp"
 #include "machine/descriptor.hpp"
@@ -47,5 +49,38 @@ std::uint64_t signature_fingerprint(const core::KernelSignature& sig);
 
 /// Fingerprint of a SimConfig.
 std::uint64_t config_fingerprint(const sim::SimConfig& cfg);
+
+/// Interns machine and signature fingerprints by object address, so a
+/// descriptor that feeds hundreds of batches is hashed once. Each entry
+/// stores a copy of the object it hashed next to the fingerprint, and a
+/// lookup hits only when that copy == the argument: a reused address or
+/// a mutated object is hashed afresh. The values are exactly
+/// machine_fingerprint / signature_fingerprint, so persisted keys do not
+/// change. Thread-safe; each map is dropped once it reaches kMaxEntries,
+/// which bounds a long-lived engine fed from ever-new addresses.
+class FingerprintMemo {
+ public:
+  static constexpr std::size_t kMaxEntries = 4096;
+
+  std::uint64_t machine(const machine::MachineDescriptor& m);
+  std::uint64_t signature(const core::KernelSignature& sig);
+  void clear();
+
+ private:
+  template <class T>
+  struct Entry {
+    T copy;
+    std::uint64_t fp = 0;
+  };
+  template <class T>
+  using Map = std::unordered_map<const T*, Entry<T>>;
+
+  template <class T, class Hash>
+  std::uint64_t intern(Map<T>& map, const T& obj, Hash hash);
+
+  std::mutex mu_;
+  Map<machine::MachineDescriptor> machines_;
+  Map<core::KernelSignature> signatures_;
+};
 
 }  // namespace sgp::engine

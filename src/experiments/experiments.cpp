@@ -125,8 +125,12 @@ std::vector<RatioSeries> x86_comparison_impl(
     }
   }
 
+  // Registry descriptors keep stable addresses, so the engine's
+  // fingerprint memo hits on every call.
+  const auto& registry = machine::shared_registry();
   std::vector<RatioSeries> out;
-  for (const auto& x86 : machine::x86_machines()) {
+  for (const char* name : {"rome", "broadwell", "icelake", "sandybridge"}) {
+    const auto& x86 = registry.descriptor(name);
     SimConfig c;
     c.precision = prec;
     c.compiler = CompilerId::Gcc;
@@ -166,10 +170,13 @@ std::string set_pipeline_machine(const std::string& name) {
   return prev;
 }
 
-std::map<std::string, core::Group> suite_groups() {
-  std::map<std::string, core::Group> out;
-  for (const auto& sig : signatures()) out[sig.name] = sig.group;
-  return out;
+const std::map<std::string, core::Group>& suite_groups() {
+  static const std::map<std::string, core::Group> groups = [] {
+    std::map<std::string, core::Group> out;
+    for (const auto& sig : signatures()) out[sig.name] = sig.group;
+    return out;
+  }();
+  return groups;
 }
 
 std::map<std::string, double> kernel_times(

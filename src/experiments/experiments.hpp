@@ -166,6 +166,6 @@ std::vector<GroupRatios> summarize_by_group(
     const std::map<std::string, core::Group>& groups);
 
 /// Name -> group for the whole suite.
-std::map<std::string, core::Group> suite_groups();
+const std::map<std::string, core::Group>& suite_groups();
 
 }  // namespace sgp::experiments

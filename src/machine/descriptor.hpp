@@ -20,6 +20,8 @@ struct CacheSpec {
   double latency_cycles = 4.0;
 
   bool present() const noexcept { return size_bytes > 0; }
+
+  bool operator==(const CacheSpec&) const = default;
 };
 
 /// SIMD/vector execution resources of a core.
@@ -33,6 +35,8 @@ struct VectorUnit {
   double efficiency_fp64 = 0.5;
 
   int lanes(int elem_bits) const noexcept { return width_bits / elem_bits; }
+
+  bool operator==(const VectorUnit&) const = default;
 };
 
 /// Per-core execution resources.
@@ -72,6 +76,8 @@ struct CoreSpec {
                                        : vector->efficiency_fp64;
     return vector->lanes(elem_bits) * fp_pipes * (fma ? 2.0 : 1.0) * eff;
   }
+
+  bool operator==(const CoreSpec&) const = default;
 };
 
 /// A NUMA region: the cores it contains and its memory resources.
@@ -79,6 +85,8 @@ struct NumaRegion {
   std::vector<int> cores;    ///< hardware core ids, in id order
   int controllers = 1;       ///< DDR controllers serving this region
   double mem_bw_gbs = 25.6;  ///< aggregate sustained bandwidth
+
+  bool operator==(const NumaRegion&) const = default;
 };
 
 /// A complete socket/package description.
@@ -145,6 +153,9 @@ struct MachineDescriptor {
   /// Throws std::invalid_argument if the descriptor is inconsistent
   /// (cores missing from NUMA map, overlapping clusters, ...).
   void validate() const;
+
+  /// Field-wise equality (the fingerprint memo's hit check).
+  bool operator==(const MachineDescriptor&) const = default;
 };
 
 /// The seven machines of the paper.

@@ -116,6 +116,10 @@ ServerStats Server::stats() const {
 }
 
 void Server::submit_line(std::string line, Respond respond) {
+  submit(std::move(line), std::move(respond), /*wait_for_room=*/false);
+}
+
+void Server::submit(std::string line, Respond respond, bool wait_for_room) {
   auto& metrics = ServeMetrics::get();
   metrics.lines.add();
   {
@@ -167,7 +171,12 @@ void Server::submit_line(std::string line, Respond respond) {
   }
   std::optional<ServeError> rejection;
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::unique_lock<std::mutex> lk(mu_);
+    if (wait_for_room) {
+      cv_room_.wait(lk, [&] {
+        return draining_ || queue_.size() < opt_.max_queue;
+      });
+    }
     if (draining_) {
       rejection = ServeError{
           ErrorCode::ShuttingDown,
@@ -183,7 +192,10 @@ void Server::submit_line(std::string line, Respond respond) {
           "request id '" + req.id + "' is already in flight"};
     } else {
       ++stats_.accepted;
-      if (req.op == Op::Shutdown) draining_ = true;
+      if (req.op == Op::Shutdown) {
+        draining_ = true;
+        cv_room_.notify_all();  // blocked readers now reject
+      }
       p.req = std::move(req);
       p.respond = std::move(respond);
       queue_.push_back(std::move(p));
@@ -239,6 +251,7 @@ void Server::worker_loop() {
       }
       ++stats_.batches;
     }
+    cv_room_.notify_all();
     ServeMetrics::get().batches.add();
     ServeMetrics::get().batch_requests.observe(batch.size());
     process_batch(std::move(batch));
@@ -568,11 +581,14 @@ int Server::run_pipe(std::istream& in, std::ostream& out) {
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;  // blank lines are keep-alives
-    submit_line(std::move(line), [&out, write_mu](std::string resp) {
-      std::lock_guard<std::mutex> lk(*write_mu);
-      out << resp << "\n";
-      out.flush();
-    });
+    submit(
+        std::move(line),
+        [&out, write_mu](std::string resp) {
+          std::lock_guard<std::mutex> lk(*write_mu);
+          out << resp << "\n";
+          out.flush();
+        },
+        /*wait_for_room=*/true);
     line.clear();
     // Admission closes synchronously when a shutdown request is
     // accepted, so breaking here is deterministic: any further input

@@ -54,7 +54,9 @@ struct ServerOptions {
   /// Engine worker threads (0 = one per hardware thread, clamped and
   /// clamp-logged by threading::recommended_jobs).
   int jobs = 0;
-  /// Queue slots; admission rejects with "overloaded" beyond this.
+  /// Queue slots. Beyond this, submit_line (and so the socket
+  /// transport) rejects with "overloaded"; run_pipe waits for room, so
+  /// file and pipe input is never dropped.
   std::size_t max_queue = 256;
   /// Largest number of queued requests one batch drains.
   std::size_t max_batch = 64;
@@ -125,8 +127,10 @@ class Server {
   // ------------------------------------------------- transports --
 
   /// Reads newline-delimited requests from `in` until EOF or shutdown;
-  /// writes one response line each to `out`. Returns 0 on a clean
-  /// exit. This is the mode tests and piped clients use.
+  /// writes one response line each to `out`. A full queue blocks the
+  /// reader instead of answering "overloaded" (a file client cannot
+  /// retry), so do not pause() a server while it serves a pipe. Returns
+  /// 0 on a clean exit. This is the mode tests and piped clients use.
   int run_pipe(std::istream& in, std::ostream& out);
 
   /// Listens on an AF_UNIX stream socket at `path` (unlinking a stale
@@ -141,6 +145,9 @@ class Server {
     std::chrono::steady_clock::time_point admitted;
   };
 
+  /// submit_line's body; `wait_for_room` makes a full queue block the
+  /// caller until the worker takes a batch (or admission closes).
+  void submit(std::string line, Respond respond, bool wait_for_room);
   void worker_loop();
   void process_batch(std::vector<Pending> batch);
   /// Evaluates one coalesced group; returns the rendered payload or a
@@ -158,6 +165,7 @@ class Server {
   mutable std::mutex mu_;
   std::condition_variable cv_;          ///< queue not empty / stopping
   std::condition_variable cv_drained_;  ///< queue empty + idle
+  std::condition_variable cv_room_;     ///< worker took queued requests
   std::deque<Pending> queue_;
   std::set<std::string> inflight_ids_;
   bool draining_ = false;  ///< no new admissions

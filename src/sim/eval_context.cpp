@@ -29,19 +29,34 @@ EvalContext::EvalContext(const Simulator& sim,
   }
 }
 
-EvalContext::Combo& EvalContext::combo(core::Precision prec,
-                                       core::CompilerId comp,
-                                       core::VectorMode mode) {
-  const std::size_t index =
-      (static_cast<std::size_t>(prec) * kCompilers +
-       static_cast<std::size_t>(comp)) *
-          kModes +
-      static_cast<std::size_t>(mode);
-  Combo& c = combos_[index];
-  if (!c.ready) {
-    c.plan = compiler::plan(*sig_, prec, comp, mode, sim_->m_);
-    c.cost = sim_->core_.cycles_per_iteration(*sig_, c.plan, prec);
+std::size_t EvalContext::combo_index(const SimConfig& cfg) noexcept {
+  return (static_cast<std::size_t>(cfg.precision) * kCompilers +
+          static_cast<std::size_t>(cfg.compiler)) *
+             kModes +
+         static_cast<std::size_t>(cfg.vector_mode);
+}
+
+void EvalContext::prepare(std::span<const SimConfig> cfgs) {
+  for (const SimConfig& cfg : cfgs) {
+    // Thread range before the combo, preserving Simulator::run's
+    // exception precedence.
+    if (cfg.nthreads < 1 || cfg.nthreads > sim_->m_.num_cores) {
+      throw std::invalid_argument("Simulator::run: nthreads out of range");
+    }
+    Combo& c = combos_[combo_index(cfg)];
+    if (c.ready) continue;
+    c.plan = compiler::plan(*sig_, cfg.precision, cfg.compiler,
+                            cfg.vector_mode, sim_->m_);
+    c.cost = sim_->core_.cycles_per_iteration(*sig_, c.plan, cfg.precision);
     c.ready = true;
+  }
+}
+
+const EvalContext::Combo& EvalContext::combo(const SimConfig& cfg) const {
+  const Combo& c = combos_[combo_index(cfg)];
+  if (!c.ready) {
+    throw std::logic_error(
+        "Simulator::run_batch: context not prepared for this config");
   }
   return c;
 }

@@ -4,25 +4,27 @@
 // validation, pattern bandwidth efficiency, per-precision working-set
 // and streamed-byte volumes — and the twelve possible
 // (precision, compiler, vector mode) codegen plans plus per-iteration
-// core costs are memoized on first use. Simulator::run_batch prices a
-// whole grid slice against one context with zero per-point allocation;
-// the scratch vectors below are the SoA mirrors of the per-point model
-// terms, reused across batches.
+// core costs are resolved by prepare(). Simulator::run_batch prices a
+// whole grid slice against one context with zero per-point allocation
+// (its SoA scratch columns are per thread, not part of the context).
 //
 // A context borrows the simulator and the signature; both must outlive
-// it. It is NOT thread-safe: lazy combo resolution and the scratch
-// arrays mutate on use, so give each worker thread its own context
-// (they are cheap to build — validation plus a ~1 KB zeroed table).
+// it. prepare() is the only mutation: once the combos a batch needs are
+// prepared, pricing only reads the context, so many threads may price
+// against one context as long as nobody prepares it concurrently.
+// SweepEngine keeps one context per (machine, signature) for its
+// lifetime and prepares them on the calling thread, under its lock,
+// before any worker runs.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <vector>
+#include <span>
 
 #include "compiler/model.hpp"
 #include "core/signature.hpp"
 #include "core/types.hpp"
-#include "machine/placement.hpp"
+#include "sim/config.hpp"
 #include "sim/core_model.hpp"
 
 namespace sgp::sim {
@@ -38,13 +40,18 @@ class EvalContext {
   const core::KernelSignature& signature() const noexcept { return *sig_; }
   const Simulator& simulator() const noexcept { return *sim_; }
 
+  /// Resolves the codegen plan and core cost of every config's
+  /// (precision, compiler, vector mode) combo not yet resolved. Throws
+  /// like Simulator::run on an invalid config, checked in point order.
+  void prepare(std::span<const SimConfig> cfgs);
+
  private:
   friend class Simulator;
 
   /// One resolved (precision, compiler, vector mode) combination: the
-  /// codegen plan and the per-iteration core cost. Computed on first
-  /// use; a grid slice that sweeps threads/placement hits the same slot
-  /// for every point.
+  /// codegen plan and the per-iteration core cost. Filled by prepare();
+  /// a grid slice that sweeps threads/placement hits the same slot for
+  /// every point.
   struct Combo {
     bool ready = false;
     compiler::CodegenPlan plan;
@@ -55,8 +62,10 @@ class EvalContext {
   static constexpr std::size_t kCompilers = 2;   ///< Gcc, Clang
   static constexpr std::size_t kModes = 3;       ///< Scalar, VLS, VLA
 
-  Combo& combo(core::Precision prec, core::CompilerId comp,
-               core::VectorMode mode);
+  static std::size_t combo_index(const SimConfig& cfg) noexcept;
+  /// The prepared combo for `cfg`; throws std::logic_error if prepare()
+  /// has not resolved it.
+  const Combo& combo(const SimConfig& cfg) const;
 
   const Simulator* sim_;
   const core::KernelSignature* sig_;
@@ -66,17 +75,6 @@ class EvalContext {
   std::array<double, kPrecisions> ws_bytes_{};
   std::array<double, kPrecisions> streamed_bytes_per_iter_{};
   std::array<Combo, kPrecisions * kCompilers * kModes> combos_{};
-
-  // Per-batch scratch (resized once per batch, reused across batches):
-  // SoA columns of the per-point model terms plus the resolved combo
-  // and placement-table rows each point uses.
-  std::vector<double> iters_crit_;
-  std::vector<double> compute_per_rep_;
-  std::vector<double> memory_per_rep_;
-  std::vector<double> sync_per_rep_;
-  std::vector<double> atomic_per_rep_;
-  std::vector<const Combo*> point_combo_;
-  std::vector<const machine::PlacementStats*> point_stats_;
 };
 
 }  // namespace sgp::sim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -62,9 +63,10 @@ TimeBreakdown Simulator::run(const core::KernelSignature& sig,
     throw std::invalid_argument("Simulator::run: nthreads out of range");
   }
   EvalContext ctx(*this, sig);
+  const std::span<const SimConfig> one(&cfg, 1);
+  ctx.prepare(one);
   TimeBreakdown out;
-  price(ctx, std::span<const SimConfig>(&cfg, 1),
-        std::span<TimeBreakdown>(&out, 1));
+  price(ctx, one, std::span<TimeBreakdown>(&out, 1));
 
   runs.add();
   run_ns.observe(static_cast<std::uint64_t>(
@@ -75,6 +77,17 @@ TimeBreakdown Simulator::run(const core::KernelSignature& sig,
 }
 
 void Simulator::run_batch(EvalContext& ctx,
+                          std::span<const SimConfig> cfgs,
+                          std::span<TimeBreakdown> out) const {
+  // Prepare only what the const overload will accept, so a foreign
+  // context or a length mismatch still reports as such.
+  if (&ctx.simulator() == this && cfgs.size() == out.size()) {
+    ctx.prepare(cfgs);
+  }
+  run_batch(std::as_const(ctx), cfgs, out);
+}
+
+void Simulator::run_batch(const EvalContext& ctx,
                           std::span<const SimConfig> cfgs,
                           std::span<TimeBreakdown> out) const {
   static obs::Counter& batches =
@@ -95,25 +108,44 @@ void Simulator::run_batch(EvalContext& ctx,
   points.add(cfgs.size());
 }
 
-void Simulator::price(EvalContext& ctx, std::span<const SimConfig> cfgs,
+namespace {
+
+/// SoA columns of the per-point model terms plus the codegen plan and
+/// placement-table row each point uses. Per thread and reused across
+/// batches, so contexts stay read-only while they are priced.
+struct PriceScratch {
+  std::vector<double> iters_crit;
+  std::vector<double> compute_per_rep;
+  std::vector<double> memory_per_rep;
+  std::vector<double> sync_per_rep;
+  std::vector<double> atomic_per_rep;
+  std::vector<const compiler::CodegenPlan*> point_plan;
+  std::vector<const machine::PlacementStats*> point_stats;
+};
+
+}  // namespace
+
+void Simulator::price(const EvalContext& ctx,
+                      std::span<const SimConfig> cfgs,
                       std::span<TimeBreakdown> out) const {
   const std::size_t n = cfgs.size();
   if (n == 0) return;
   const core::KernelSignature& sig = *ctx.sig_;
 
-  auto& iters_crit = ctx.iters_crit_;
-  auto& compute_per_rep = ctx.compute_per_rep_;
-  auto& memory_per_rep = ctx.memory_per_rep_;
-  auto& sync_per_rep = ctx.sync_per_rep_;
-  auto& atomic_per_rep = ctx.atomic_per_rep_;
-  auto& point_combo = ctx.point_combo_;
-  auto& point_stats = ctx.point_stats_;
+  thread_local PriceScratch scratch;
+  auto& iters_crit = scratch.iters_crit;
+  auto& compute_per_rep = scratch.compute_per_rep;
+  auto& memory_per_rep = scratch.memory_per_rep;
+  auto& sync_per_rep = scratch.sync_per_rep;
+  auto& atomic_per_rep = scratch.atomic_per_rep;
+  auto& point_plan = scratch.point_plan;
+  auto& point_stats = scratch.point_stats;
   iters_crit.resize(n);
   compute_per_rep.resize(n);
   memory_per_rep.resize(n);
   sync_per_rep.resize(n);
   atomic_per_rep.resize(n);
-  point_combo.resize(n);
+  point_plan.resize(n);
   point_stats.resize(n);
 
   const double clock_hz = m_.core.clock_ghz * 1e9;
@@ -125,9 +157,8 @@ void Simulator::price(EvalContext& ctx, std::span<const SimConfig> cfgs,
     if (cfg.nthreads < 1 || cfg.nthreads > m_.num_cores) {
       throw std::invalid_argument("Simulator::run: nthreads out of range");
     }
-    const EvalContext::Combo& cb =
-        ctx.combo(cfg.precision, cfg.compiler, cfg.vector_mode);
-    point_combo[i] = &cb;
+    const EvalContext::Combo& cb = ctx.combo(cfg);
+    point_plan[i] = &cb.plan;
     point_stats[i] = &placement_stats(cfg.placement, cfg.nthreads);
 
     // Critical-path iterations per thread (Amdahl with seq_fraction).
@@ -148,7 +179,7 @@ void Simulator::price(EvalContext& ctx, std::span<const SimConfig> cfgs,
   for (std::size_t i = 0; i < n; ++i) {
     const SimConfig& cfg = cfgs[i];
     const machine::PlacementStats& stats = *point_stats[i];
-    const compiler::CodegenPlan& plan = point_combo[i]->plan;
+    const compiler::CodegenPlan& plan = *point_plan[i];
     const double ws =
         ctx.ws_bytes_[static_cast<std::size_t>(cfg.precision)];
     const MemLevel serving = cache_.serving_level(ws, stats, cfg.nthreads);

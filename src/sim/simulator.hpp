@@ -9,8 +9,8 @@
 //                   EvalContext (see sim/eval_context.hpp): codegen
 //                   plans, core costs and pattern/byte constants are
 //                   resolved once per (machine, signature) and the
-//                   inner loops run over SoA scratch columns with zero
-//                   per-point allocation.
+//                   inner loops run over per-thread SoA scratch columns
+//                   with zero per-point allocation.
 // Placement-occupancy statistics (what machine::analyze returns for
 // every (placement, nthreads) pair) are precomputed at construction, so
 // neither path walks the topology per point.
@@ -76,11 +76,17 @@ class Simulator {
 
   /// Prices a grid slice: out[i] = run(ctx.signature(), cfgs[i]), bit
   /// for bit, with the per-point derivations amortized through `ctx`
-  /// (which must have been built against this simulator). Throws
+  /// (which must have been built against this simulator). Prepares the
+  /// combos `cfgs` need first (EvalContext::prepare). Throws
   /// std::invalid_argument on a foreign context, mismatched span
-  /// lengths, or any invalid config; the exception contract is
-  /// per-point (points before the offending one are already written).
+  /// lengths, or any invalid config; on a throw `out` is unspecified.
   void run_batch(EvalContext& ctx, std::span<const SimConfig> cfgs,
+                 std::span<TimeBreakdown> out) const;
+
+  /// As above against an already-prepared context, which is only read:
+  /// many threads may price against one context at once. Throws
+  /// std::logic_error when a config's combo was never prepared.
+  void run_batch(const EvalContext& ctx, std::span<const SimConfig> cfgs,
                  std::span<TimeBreakdown> out) const;
 
   /// Shorthand for run(...).total_s.
@@ -101,7 +107,7 @@ class Simulator {
   friend class EvalContext;
 
   /// The shared pricing kernel behind run() and run_batch().
-  void price(EvalContext& ctx, std::span<const SimConfig> cfgs,
+  void price(const EvalContext& ctx, std::span<const SimConfig> cfgs,
              std::span<TimeBreakdown> out) const;
 
   machine::MachineDescriptor m_;

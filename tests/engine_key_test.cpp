@@ -127,45 +127,55 @@ TEST(MachineFingerprint, PaperMachinesAllDistinct) {
   }
 }
 
+struct SignatureMutation {
+  const char* what;
+  std::function<void(core::KernelSignature&)> apply;
+};
+
+const std::vector<SignatureMutation>& signature_mutations() {
+  static const std::vector<SignatureMutation> muts = {
+      {"name", [](auto& s) { s.name += "_X"; }},
+      {"group",
+       [](auto& s) {
+         s.group = s.group == core::Group::Basic ? core::Group::Stream
+                                                 : core::Group::Basic;
+       }},
+      {"iters_per_rep", [](auto& s) { s.iters_per_rep += 1.0; }},
+      {"reps", [](auto& s) { s.reps += 1.0; }},
+      {"parallel_regions",
+       [](auto& s) { s.parallel_regions_per_rep += 1.0; }},
+      {"seq_fraction", [](auto& s) { s.seq_fraction += 1e-7; }},
+      {"mix.fadd", [](auto& s) { s.mix.fadd += 1.0; }},
+      {"mix.ffma", [](auto& s) { s.mix.ffma += 1.0; }},
+      {"mix.loads", [](auto& s) { s.mix.loads += 1.0; }},
+      {"streamed_reads", [](auto& s) { s.streamed_reads_per_iter += 1.0; }},
+      {"streamed_writes",
+       [](auto& s) { s.streamed_writes_per_iter += 1.0; }},
+      {"working_set", [](auto& s) { s.working_set_elems += 1.0; }},
+      {"gcc.vectorizes",
+       [](auto& s) { s.gcc.vectorizes = !s.gcc.vectorizes; }},
+      {"gcc.efficiency", [](auto& s) { s.gcc.efficiency += 1e-7; }},
+      {"clang.memory_efficiency",
+       [](auto& s) { s.clang.memory_efficiency -= 1e-7; }},
+      {"integer_dominated",
+       [](auto& s) { s.integer_dominated = !s.integer_dominated; }},
+      {"atomic", [](auto& s) { s.atomic = !s.atomic; }},
+      {"recurrence", [](auto& s) { s.recurrence = !s.recurrence; }},
+  };
+  return muts;
+}
+
 TEST(SignatureFingerprint, FieldMutationsChangeIt) {
   const auto base = kernels::all_signatures().front();
   const auto base_fp = signature_fingerprint(base);
   std::set<std::uint64_t> seen{base_fp};
-
-  auto check = [&](const char* what, auto mutate) {
+  for (const auto& mut : signature_mutations()) {
     auto s = base;
-    mutate(s);
+    mut.apply(s);
     const auto fp = signature_fingerprint(s);
-    EXPECT_NE(fp, base_fp) << what;
-    EXPECT_TRUE(seen.insert(fp).second) << what;
-  };
-  check("name", [](auto& s) { s.name += "_X"; });
-  check("group", [](auto& s) {
-    s.group = s.group == core::Group::Basic ? core::Group::Stream
-                                            : core::Group::Basic;
-  });
-  check("iters_per_rep", [](auto& s) { s.iters_per_rep += 1.0; });
-  check("reps", [](auto& s) { s.reps += 1.0; });
-  check("parallel_regions",
-        [](auto& s) { s.parallel_regions_per_rep += 1.0; });
-  check("seq_fraction", [](auto& s) { s.seq_fraction += 1e-7; });
-  check("mix.fadd", [](auto& s) { s.mix.fadd += 1.0; });
-  check("mix.ffma", [](auto& s) { s.mix.ffma += 1.0; });
-  check("mix.loads", [](auto& s) { s.mix.loads += 1.0; });
-  check("streamed_reads",
-        [](auto& s) { s.streamed_reads_per_iter += 1.0; });
-  check("streamed_writes",
-        [](auto& s) { s.streamed_writes_per_iter += 1.0; });
-  check("working_set", [](auto& s) { s.working_set_elems += 1.0; });
-  check("gcc.vectorizes",
-        [](auto& s) { s.gcc.vectorizes = !s.gcc.vectorizes; });
-  check("gcc.efficiency", [](auto& s) { s.gcc.efficiency += 1e-7; });
-  check("clang.memory_efficiency",
-        [](auto& s) { s.clang.memory_efficiency -= 1e-7; });
-  check("integer_dominated",
-        [](auto& s) { s.integer_dominated = !s.integer_dominated; });
-  check("atomic", [](auto& s) { s.atomic = !s.atomic; });
-  check("recurrence", [](auto& s) { s.recurrence = !s.recurrence; });
+    EXPECT_NE(fp, base_fp) << mut.what;
+    EXPECT_TRUE(seen.insert(fp).second) << mut.what;
+  }
 }
 
 TEST(SignatureFingerprint, SuiteSignaturesAllDistinct) {
@@ -195,6 +205,39 @@ TEST(ConfigFingerprint, FieldMutationsChangeIt) {
   check("nthreads", [](auto& c) { c.nthreads = 2; });
   check("placement",
         [](auto& c) { c.placement = machine::Placement::ClusterCyclic; });
+}
+
+// The memo keys by address and hits only when its stored copy == the
+// argument. Every single-field mutation, applied in place at the same
+// address, must therefore miss and yield the fresh fingerprint; a field
+// left out of operator== would return the stale one instead.
+TEST(FingerprintMemo, ReusedAddressWithNewContentIsRehashed) {
+  FingerprintMemo memo;
+  auto m = machine::sg2042();
+  for (const auto& mut : machine_mutations()) {
+    m = machine::sg2042();
+    EXPECT_EQ(memo.machine(m), machine_fingerprint(m)) << mut.what;
+    mut.apply(m);
+    EXPECT_EQ(memo.machine(m), machine_fingerprint(m)) << mut.what;
+  }
+  const auto base = kernels::all_signatures().front();
+  auto s = base;
+  for (const auto& mut : signature_mutations()) {
+    s = base;
+    EXPECT_EQ(memo.signature(s), signature_fingerprint(s)) << mut.what;
+    mut.apply(s);
+    EXPECT_EQ(memo.signature(s), signature_fingerprint(s)) << mut.what;
+  }
+}
+
+TEST(FingerprintMemo, EqualObjectsAtDistinctAddressesShareTheValue) {
+  FingerprintMemo memo;
+  const auto a = machine::amd_rome();
+  const auto b = a;
+  EXPECT_EQ(memo.machine(a), memo.machine(b));
+  EXPECT_EQ(memo.machine(a), machine_fingerprint(a));
+  memo.clear();
+  EXPECT_EQ(memo.machine(b), machine_fingerprint(b));
 }
 
 }  // namespace

@@ -138,7 +138,7 @@ TEST(SweepEngine, ThrowingPointFailsTheBatchButNotTheEngine) {
 
   EXPECT_THROW((void)eng.run_batch(points), std::invalid_argument);
 
-  // The engine stays usable and the cached good points are intact.
+  // The engine stays usable (nothing from the failed batch was cached).
   const auto ok = eng.run(m, sigs.front(), cfg);
   EXPECT_GT(ok.total_s, 0.0);
 }

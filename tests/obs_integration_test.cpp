@@ -4,7 +4,9 @@
 //   * the CSV artifacts are byte-identical with observability on and
 //     off (instrumentation never perturbs results);
 //   * the trace is well-formed Chrome trace_event JSON containing
-//     spans from the simulator, the sweep engine and the thread pool;
+//     spans from the simulator and the sweep engine (fig1's grids are
+//     priced inline, so the thread-pool spans are asserted on an
+//     in-process engine batch above the pool threshold instead);
 //   * the manifest is well-formed and its cache accounting is
 //     internally consistent (hits + misses == requests, one
 //     simulation per miss).
@@ -16,7 +18,11 @@
 #include <sstream>
 #include <string>
 
+#include "engine/engine.hpp"
+#include "kernels/register_all.hpp"
+#include "machine/descriptor.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -76,11 +82,9 @@ TEST(ObsIntegration, BenchWithTraceAndMetricsMatchesPlainRun) {
   const std::string trace = slurp(trace_json);
   EXPECT_TRUE(sgp::obs::json_valid(trace));
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-  // Spans from all three instrumented layers.
+  // Spans from the simulator and engine layers.
   EXPECT_NE(trace.find("Simulator::run"), std::string::npos);
   EXPECT_NE(trace.find("SweepEngine::"), std::string::npos);
-  EXPECT_NE(trace.find("ThreadPool::"), std::string::npos);
-  EXPECT_NE(trace.find("pool.chunk"), std::string::npos);
 
   const std::string manifest = slurp(manifest_json);
   EXPECT_TRUE(sgp::obs::json_valid(manifest));
@@ -100,6 +104,41 @@ TEST(ObsIntegration, BenchWithTraceAndMetricsMatchesPlainRun) {
   EXPECT_EQ(sims, misses);
 
   fs::remove_all(base);
+}
+
+// The pool layer's spans: a traced engine batch with more misses than
+// SweepEngine::kPoolMinMisses on a two-worker engine is priced on the
+// pool, and its dispatch and worker chunks land in the trace.
+TEST(ObsIntegration, PooledEngineBatchTracesPoolSpans) {
+  const auto m = sgp::machine::sg2042();
+  const auto sigs = sgp::kernels::all_signatures();
+  std::vector<sgp::sim::SimConfig> cfgs;
+  for (int t = 1; t <= m.num_cores; ++t) {
+    for (const auto prec : sgp::core::all_precisions) {
+      sgp::sim::SimConfig cfg;
+      cfg.nthreads = t;
+      cfg.precision = prec;
+      cfgs.push_back(cfg);
+    }
+  }
+  ASSERT_GE(sigs.size() * cfgs.size(),
+            sgp::engine::SweepEngine::kPoolMinMisses);
+  sgp::engine::SweepEngine eng(sgp::engine::EngineOptions{/*jobs=*/2});
+  ASSERT_GT(eng.jobs(), 1);
+
+  auto& tracer = sgp::obs::tracer();
+  tracer.clear();
+  tracer.enable();
+  (void)eng.run_grid(m, sigs, cfgs);
+  tracer.disable();
+  const std::string trace = tracer.chrome_trace_json();
+  tracer.clear();
+
+  EXPECT_TRUE(sgp::obs::json_valid(trace));
+  EXPECT_NE(trace.find("SweepEngine::run_batch"), std::string::npos);
+  EXPECT_NE(trace.find("Simulator::run_batch"), std::string::npos);
+  EXPECT_NE(trace.find("ThreadPool::"), std::string::npos);
+  EXPECT_NE(trace.find("pool.chunk"), std::string::npos);
 }
 
 }  // namespace

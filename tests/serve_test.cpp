@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -350,6 +351,50 @@ TEST(Server, PipeModeAnswersEveryLine) {
   // Responses may interleave (rejects are synchronous, results come
   // from the worker), so count rather than index.
   EXPECT_EQ(parse_errors, 1u);
+}
+
+// A file client cannot retry, so pipe input larger than the queue must
+// wait for room rather than be answered "overloaded": every line gets
+// the same response a serial server with room for all of it gives.
+TEST(Server, PipeInputLargerThanTheQueueIsNeverShed) {
+  const char* kernels[] = {"TRIAD", "COPY", "DOT", "MUL", "ADD", "GEMM"};
+  std::string input;
+  constexpr std::size_t kLines = 600;
+  for (std::size_t i = 0; i < kLines; ++i) {
+    std::string id = "r";  // not "r" + ...: GCC 12 -Wrestrict false positive
+    id += std::to_string(i);
+    input += sweep_line(id, kernels[i % 6]) + "\n";
+  }
+  auto serve_all = [&](int jobs, std::size_t max_queue,
+                       std::size_t max_batch, serve::ServerStats& stats) {
+    serve::ServerOptions opt;
+    opt.jobs = jobs;
+    opt.max_queue = max_queue;
+    opt.max_batch = max_batch;
+    opt.warn = false;
+    serve::Server server(opt);
+    std::istringstream in(input);
+    std::ostringstream out;
+    EXPECT_EQ(server.run_pipe(in, out), 0);
+    stats = server.stats();
+    std::vector<std::string> lines;
+    std::istringstream resp(out.str());
+    for (std::string l; std::getline(resp, l);) lines.push_back(l);
+    std::sort(lines.begin(), lines.end());
+    return lines;
+  };
+  serve::ServerStats serial_stats;
+  serve::ServerStats small_stats;
+  const auto serial = serve_all(1, kLines, 64, serial_stats);
+  const auto small = serve_all(2, 4, 2, small_stats);
+  ASSERT_EQ(small.size(), kLines);
+  EXPECT_EQ(small_stats.rejected_overload, 0u);
+  EXPECT_EQ(small_stats.accepted, kLines);
+  for (const auto& l : small) {
+    EXPECT_EQ(l.find("overloaded"), std::string::npos) << l;
+  }
+  EXPECT_EQ(small, serial);
+  EXPECT_EQ(serial_stats.rejected_overload, 0u);
 }
 
 // The acceptance end-to-end: cold start -> mixed requests (duplicates,

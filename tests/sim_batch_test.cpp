@@ -19,6 +19,7 @@
 #include "kernels/register_all.hpp"
 #include "machine/descriptor.hpp"
 #include "machine/placement.hpp"
+#include "obs/metrics.hpp"
 #include "rvv/codegen.hpp"
 #include "serve/server.hpp"
 #include "sim/eval_context.hpp"
@@ -262,6 +263,138 @@ TEST(SimBatch, ConcurrentRunGridCallersAgreeWithSerialReference) {
   const auto counters = shared.counters();
   EXPECT_EQ(counters.requests,
             static_cast<std::uint64_t>(kCallers) * reference.size());
+}
+
+// ------------------------------ inline vs pool pricing, shared contexts --
+
+/// `n` distinct points on sg2042 over every (signature, config) pair of
+/// the full grid, signature-major so each group spans many configs.
+std::vector<engine::SweepPoint> distinct_points(
+    const machine::MachineDescriptor& m,
+    const std::vector<core::KernelSignature>& sigs,
+    const std::vector<sim::SimConfig>& grid, std::size_t n) {
+  std::vector<engine::SweepPoint> points;
+  points.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& sig = sigs[(i / grid.size()) % sigs.size()];
+    points.push_back(engine::SweepPoint{&m, &sig, grid[i % grid.size()]});
+  }
+  return points;
+}
+
+std::uint64_t pool_dispatches() {
+  return obs::registry().counter("pool.dispatches").value();
+}
+
+TEST(SimBatch, InlineAndPoolPricingAreBitIdentical) {
+  const auto m = machine::sg2042();
+  const sim::Simulator sim(m);
+  const auto sigs = kernels::all_signatures();
+  const auto grid = full_grid(m);
+  constexpr std::size_t kThreshold = engine::SweepEngine::kPoolMinMisses;
+  ASSERT_GE(sigs.size() * grid.size(), kThreshold + 1);
+  for (const std::size_t n : {kThreshold - 1, kThreshold + 1}) {
+    const auto points = distinct_points(m, sigs, grid, n);
+    std::vector<sim::TimeBreakdown> reference(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      reference[i] = sim.run(*points[i].signature, points[i].config);
+    }
+    for (const int jobs : {1, 2, 8}) {
+      engine::SweepEngine eng(engine::EngineOptions{jobs});
+      const std::uint64_t dispatches = pool_dispatches();
+      const auto got = eng.run_batch(points);
+      // Below the threshold (or serial) the calling thread prices
+      // everything; above it a parallel engine goes to the pool.
+      const bool pooled = eng.jobs() > 1 && n >= kThreshold;
+      EXPECT_EQ(pool_dispatches() > dispatches, pooled)
+          << "n=" << n << " jobs=" << jobs;
+      EXPECT_EQ(eng.counters().simulations, n);
+      ASSERT_EQ(got.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        expect_identical(reference[i], got[i],
+                         "n=" + std::to_string(n) + " jobs=" +
+                             std::to_string(jobs) + " point " +
+                             std::to_string(i));
+      }
+    }
+  }
+}
+
+TEST(SimBatch, ConcurrentRunGridCallersShareCachedContexts) {
+  // Cache off: every call prices, so all callers read the same
+  // engine-lifetime contexts at once while others prepare new combos
+  // in them. One caller's grid is above the pool threshold, so pooled
+  // and inline pricing overlap too. The TSan lane rebuilds this test.
+  const auto m = machine::sg2042();
+  const sim::Simulator sim(m);
+  const std::vector<core::KernelSignature> sigs = {
+      find_sig("TRIAD"), find_sig("GEMM"), find_sig("DOT"),
+      find_sig("SORT")};
+  const auto grid = full_grid(m);
+  engine::SweepEngine shared(
+      engine::EngineOptions{/*jobs=*/2, /*use_cache=*/false});
+  constexpr int kCallers = 6;
+  std::vector<std::vector<sim::SimConfig>> cfgs(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    // Callers start on different combos of the full grid.
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      if (i % kCallers == static_cast<std::size_t>(c)) {
+        cfgs[c].push_back(grid[i]);
+      }
+    }
+  }
+  while (cfgs[0].size() * sigs.size() <
+         engine::SweepEngine::kPoolMinMisses) {
+    cfgs[0].insert(cfgs[0].end(), grid.begin(), grid.end());
+  }
+  std::vector<std::vector<sim::TimeBreakdown>> got(kCallers);
+  {
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        for (int round = 0; round < 3; ++round) {
+          got[c] = shared.run_grid(m, sigs, cfgs[c]);
+        }
+      });
+    }
+    for (auto& th : callers) th.join();
+  }
+  for (int c = 0; c < kCallers; ++c) {
+    ASSERT_EQ(got[c].size(), cfgs[c].size() * sigs.size()) << c;
+    for (std::size_t i = 0; i < got[c].size(); ++i) {
+      const auto& cfg = cfgs[c][i / sigs.size()];
+      expect_identical(sim.run(sigs[i % sigs.size()], cfg), got[c][i],
+                       "caller " + std::to_string(c) + " point " +
+                           std::to_string(i));
+    }
+  }
+  EXPECT_EQ(shared.counters().contexts, sigs.size());
+}
+
+TEST(SimBatch, BadSignatureThrowsAndCachesNoContext) {
+  const auto m = machine::sg2042();
+  const auto good = find_sig("TRIAD");
+  auto bad = good;
+  bad.name = "TRIAD_BAD";
+  bad.iters_per_rep = 0.0;  // EvalContext rejects this
+  sim::SimConfig cfg;
+  cfg.nthreads = 4;
+
+  engine::SweepEngine eng(engine::EngineOptions{/*jobs=*/2});
+  const engine::SweepPoint bad_only[] = {{&m, &bad, cfg}};
+  EXPECT_THROW((void)eng.run_batch(bad_only), std::invalid_argument);
+  EXPECT_EQ(eng.counters().contexts, 0u);
+
+  const engine::SweepPoint mixed[] = {{&m, &good, cfg}, {&m, &bad, cfg}};
+  EXPECT_THROW((void)eng.run_batch(mixed), std::invalid_argument);
+  EXPECT_EQ(eng.counters().contexts, 1u);  // only the good signature's
+  EXPECT_EQ(eng.counters().cache_entries, 0u);  // nothing was priced
+
+  // The engine stays usable and prices the good point exactly.
+  const sim::Simulator sim(m);
+  expect_identical(sim.run(good, cfg), eng.run(m, good, cfg), "after throw");
+  eng.clear_cache();
+  EXPECT_EQ(eng.counters().contexts, 0u);
 }
 
 // ------------------------------------ compiler::plan under concurrency --
