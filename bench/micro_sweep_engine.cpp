@@ -3,21 +3,17 @@
 // Runs the repo's full figure/table pipeline set — every pipeline
 // invocation the pre-engine consumers made in separate processes (the
 // fig1-7/tab1-3 binaries, background_d1_vs_v2, paper_deltas, and the
-// calibration/experiments regression tests) — twice in one process:
-//
-//   legacy pass : cache disabled + the pre-engine call graphs
-//                 (per-kernel best-thread search), replicating the
-//                 historical Simulator::run volume;
-//   engine pass : the ported pipelines on a fresh cached engine.
+// calibration/experiments regression tests) — on a fresh cached engine,
+// again on the same engine (all hits), and on a forced-serial engine.
 //
 // It asserts the rendered outputs (tables + CSV text) are byte
-// identical between the passes, between a parallel and a forced-serial
-// engine, and between a first and a reuse (all-hits) run, then writes
-// the counters to BENCH_sweep.json. Exits 1 if any outputs differ, the
-// Simulator::run reduction is below 5x, or the legacy pass's raw
-// simulator throughput (EngineCounters::sims_per_second) falls below
-// kMinSimsPerSecond (--identity-only skips the throughput gate for
-// instrumented builds).
+// identical between a parallel and a forced-serial engine and between a
+// first and a reuse run, then writes the counters to BENCH_sweep.json.
+// Exits 1 if any outputs differ, the reuse run simulates anything, or
+// the first run's simulations are not >= 5x below the pre-engine volume
+// kPreEngineSimulations. Ratio and identity gates only (no wall-clock
+// floor; the simulator's throughput floor lives in micro_simulator), so
+// sanitizer builds run it unchanged.
 //
 // --persist <dir> instead benchmarks the durable memo cache: a cold
 // persistent pass populates <dir>, a warm pass in a fresh engine must
@@ -38,16 +34,19 @@ namespace {
 
 using namespace sgp;
 
-/// Simulator::run throughput floor (simulations per aggregate
-/// simulation-second, EngineCounters::sims_per_second) gated on the
-/// legacy pass, which runs every point uncached and so measures the raw
-/// hot path. Per-thread time, so the gate is independent of worker
-/// count and machine load. Measured ~1M/s on the 1-core CI box in an
-/// uninstrumented build after the placement-table + batched-evaluation
-/// work (up from ~140k/s when the floor was 30k); the floor sits ~10x
-/// below that so only a real hot-path regression (not timer noise) can
-/// trip it. Sanitizer builds pass --identity-only and skip it.
-constexpr double kMinSimsPerSecond = 100000.0;
+/// Simulator::run calls the pipeline set below cost before the sweep
+/// engine: every consumer in its own process, no memo cache, and the
+/// multithreaded x86 comparison re-running the best-thread search (both
+/// candidate counts over the kernel's whole class) once per kernel. The
+/// call graph is deterministic and was uncached, so its simulations
+/// equal its requests; this is the count it made over exactly this
+/// pipeline set, measured before the replica was retired. Change it only
+/// together with the pipeline set.
+constexpr std::uint64_t kPreEngineSimulations = 16501;
+
+/// The engine's first pass must simulate at least this many times fewer
+/// points than kPreEngineSimulations.
+constexpr double kMinSimulationReduction = 5.0;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -74,9 +73,7 @@ std::string render_times(const std::map<std::string, double>& times) {
 }
 
 /// One in-process replay of the whole pre-engine consumer surface.
-/// `legacy_mode` swaps in the historical call graphs where they
-/// differed (multithreaded x86 comparison, best-thread search).
-std::string run_pipeline_set(engine::SweepEngine& eng, bool legacy_mode) {
+std::string run_pipeline_set(engine::SweepEngine& eng) {
   experiments::reset_best_threads_memo();
   std::ostringstream out;
 
@@ -91,14 +88,7 @@ std::string run_pipeline_set(engine::SweepEngine& eng, bool legacy_mode) {
     out << bench::scaling_csv(t).text();
   };
   auto x86 = [&](core::Precision prec, bool multi) {
-    return (legacy_mode && multi)
-               ? experiments::legacy::x86_comparison(prec, multi, eng)
-               : experiments::x86_comparison(prec, multi, eng);
-  };
-  auto best_threads = [&](core::Group g, core::Precision prec) {
-    return legacy_mode
-               ? experiments::legacy::best_sg2042_threads(g, prec, eng)
-               : experiments::best_sg2042_threads(g, prec, eng);
+    return experiments::x86_comparison(prec, multi, eng);
   };
 
   // fig1..fig7, tab1..tab3 binaries.
@@ -171,7 +161,7 @@ std::string run_pipeline_set(engine::SweepEngine& eng, bool legacy_mode) {
   for (const auto prec : {core::Precision::FP32, core::Precision::FP64}) {
     for (const auto g : core::all_groups) {
       out << "best_threads," << core::to_string(g) << ','
-          << best_threads(g, prec) << '\n';
+          << experiments::best_sg2042_threads(g, prec, eng) << '\n';
     }
   }
 
@@ -184,10 +174,10 @@ struct PassResult {
   double wall_s = 0.0;
 };
 
-PassResult run_pass(engine::SweepEngine& eng, bool legacy_mode) {
+PassResult run_pass(engine::SweepEngine& eng) {
   const auto t0 = std::chrono::steady_clock::now();
   PassResult r;
-  r.output = run_pipeline_set(eng, legacy_mode);
+  r.output = run_pipeline_set(eng);
   r.wall_s = seconds_since(t0);
   r.counters = eng.counters();
   return r;
@@ -196,7 +186,7 @@ PassResult run_pass(engine::SweepEngine& eng, bool legacy_mode) {
 [[noreturn]] void usage_error(const char* prog, const std::string& what) {
   std::cerr << prog << ": " << what << "\n"
             << "usage: " << prog << " [--json <path>] [--jobs <n>]"
-            << " [--perf] [--persist <dir>] [--identity-only]\n";
+            << " [--perf] [--persist <dir>]\n";
   std::exit(64);
 }
 
@@ -220,8 +210,8 @@ int run_persist_bench(const std::string& dir, const std::string& json_path,
       [&](resilience::FaultInjector* injector) -> PassResult {
     engine::EnginePersistence p = persistence;
     p.store.injector = injector;
-    engine::SweepEngine eng(EngineOptions{jobs, true, p});
-    return run_pass(eng, /*legacy_mode=*/false);
+    engine::SweepEngine eng(EngineOptions{.jobs = jobs, .persist = p});
+    return run_pass(eng);
   };  // engine destructor flushes the final segment
 
   const auto cold = persistent_pass(nullptr);
@@ -307,10 +297,6 @@ int main(int argc, char** argv) {
   std::string persist_dir;
   int jobs = 0;
   bool perf = false;
-  // Skips the wall-clock throughput gate (sims/second); identity and
-  // simulation-count gates still apply. For sanitizer builds, whose
-  // instrumentation slows the simulator by an order of magnitude.
-  bool identity_only = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
@@ -332,8 +318,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--perf") {
       perf = true;
-    } else if (arg == "--identity-only") {
-      identity_only = true;
     } else {
       usage_error(argv[0], "unknown flag '" + arg + "'");
     }
@@ -347,45 +331,31 @@ int main(int argc, char** argv) {
   if (json_path.empty()) json_path = "BENCH_sweep.json";
 
   std::cout << "== micro_sweep_engine: full figure/table pipeline set, "
-               "legacy vs engine ==\n";
+               "pre-engine volume vs engine ==\n";
 
-  // Legacy pass: cache off, pre-engine call graphs. This is the
-  // Simulator::run volume the consumer surface used to cost when every
-  // consumer was its own process (no sharing is possible without the
-  // cache, so running them back to back in one process is equivalent).
-  engine::SweepEngine legacy_eng({jobs, /*use_cache=*/false});
-  const auto legacy = run_pass(legacy_eng, /*legacy_mode=*/true);
-
-  // Engine pass: the ported pipelines on one fresh cached engine.
-  engine::SweepEngine eng({jobs, /*use_cache=*/true});
-  const auto first = run_pass(eng, /*legacy_mode=*/false);
+  // Engine pass: the pipelines on one fresh cached engine.
+  engine::SweepEngine eng({.jobs = jobs});
+  const auto first = run_pass(eng);
 
   // Reuse pass: same engine again — everything should be served from
   // the cache (a second bench binary in the same process).
-  const auto reuse = run_pass(eng, /*legacy_mode=*/false);
+  const auto reuse = run_pass(eng);
   const auto reuse_sims =
       reuse.counters.simulations - first.counters.simulations;
 
   // Forced-serial pass: determinism check for the parallel scheduler.
-  engine::SweepEngine serial_eng({/*jobs=*/1, /*use_cache=*/true});
-  const auto serial = run_pass(serial_eng, /*legacy_mode=*/false);
+  engine::SweepEngine serial_eng({.jobs = 1});
+  const auto serial = run_pass(serial_eng);
 
-  const bool legacy_identical = legacy.output == first.output;
   const bool serial_identical = serial.output == first.output;
   const bool reuse_identical = reuse.output == first.output;
   const double ratio =
       first.counters.simulations > 0
-          ? double(legacy.counters.simulations) /
+          ? double(kPreEngineSimulations) /
                 double(first.counters.simulations)
           : 0.0;
-  // Throughput gate on the uncached pass: simulations per second of
-  // wall time spent inside Simulator::run, summed across workers.
-  const double sims_per_second = legacy.counters.sims_per_second();
-  const bool sims_ok =
-      identity_only || sims_per_second >= kMinSimsPerSecond;
-  const bool pass = legacy_identical && serial_identical &&
-                    reuse_identical && reuse_sims == 0 && ratio >= 5.0 &&
-                    sims_ok;
+  const bool pass = serial_identical && reuse_identical && reuse_sims == 0 &&
+                    ratio >= kMinSimulationReduction;
 
   report::Table t({"pass", "Simulator::run", "requests", "cache hits",
                    "wall s"});
@@ -396,8 +366,6 @@ int main(int argc, char** argv) {
                std::to_string(hits),
                report::Table::num(p.wall_s, 3)});
   };
-  row("legacy (no cache)", legacy, legacy.counters.simulations,
-      legacy.counters.cache_hits);
   row("engine (first)", first, first.counters.simulations,
       first.counters.cache_hits);
   row("engine (reuse)", reuse, reuse_sims,
@@ -405,19 +373,12 @@ int main(int argc, char** argv) {
   row("engine (serial)", serial, serial.counters.simulations,
       serial.counters.cache_hits);
   std::cout << t.render();
-  std::cout << "Simulator::run reduction: "
-            << report::Table::num(ratio, 2) << "x (need >= 5)\n";
-  std::cout << "simulator throughput (legacy pass): "
-            << report::Table::num(sims_per_second, 0) << " sims/s";
-  if (identity_only) {
-    std::cout << " (gate skipped: --identity-only)\n";
-  } else {
-    std::cout << " (need >= " << report::Table::num(kMinSimsPerSecond, 0)
-              << ")\n";
-  }
-  std::cout << "outputs identical — legacy: "
-            << (legacy_identical ? "yes" : "NO")
-            << ", serial: " << (serial_identical ? "yes" : "NO")
+  std::cout << "Simulator::run reduction vs the pre-engine "
+            << kPreEngineSimulations
+            << ": " << report::Table::num(ratio, 2) << "x (need >= "
+            << report::Table::num(kMinSimulationReduction, 0) << ")\n";
+  std::cout << "outputs identical — serial: "
+            << (serial_identical ? "yes" : "NO")
             << ", reuse: " << (reuse_identical ? "yes" : "NO") << "\n";
   std::cout << (pass ? "PASS" : "FAIL") << "\n";
 
@@ -427,10 +388,8 @@ int main(int argc, char** argv) {
     json << "{\n"
          << "  \"bench\": \"micro_sweep_engine\",\n"
          << "  \"jobs\": " << eng.jobs() << ",\n"
-         << "  \"legacy\": {\"simulations\": "
-         << legacy.counters.simulations
-         << ", \"requests\": " << legacy.counters.requests
-         << ", \"wall_s\": " << legacy.wall_s << "},\n"
+         << "  \"pre_engine\": {\"simulations\": " << kPreEngineSimulations
+         << "},\n"
          << "  \"engine\": {\"simulations\": "
          << first.counters.simulations
          << ", \"requests\": " << first.counters.requests
@@ -441,11 +400,9 @@ int main(int argc, char** argv) {
          << ", \"wall_s\": " << reuse.wall_s << "},\n"
          << "  \"serial\": {\"wall_s\": " << serial.wall_s << "},\n"
          << "  \"simulation_reduction\": " << ratio << ",\n"
-         << "  \"sims_per_second\": " << sims_per_second << ",\n"
-         << "  \"sims_per_second_min\": " << kMinSimsPerSecond << ",\n"
-         << "  \"sims_gate_skipped\": " << identity_only << ",\n"
-         << "  \"outputs_identical\": {\"legacy_vs_engine\": "
-         << legacy_identical << ", \"parallel_vs_serial\": "
+         << "  \"simulation_reduction_min\": " << kMinSimulationReduction
+         << ",\n"
+         << "  \"outputs_identical\": {\"parallel_vs_serial\": "
          << serial_identical << ", \"first_vs_reuse\": " << reuse_identical
          << "},\n"
          << "  \"pass\": " << pass << "\n"

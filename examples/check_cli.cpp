@@ -289,7 +289,7 @@ int main(int argc, char** argv) {
   // Regeneration mode: render every pipeline on a forced-serial engine
   // and pin the result. No checks run.
   if (opt.write_golden_dir) {
-    engine::SweepEngine eng(engine::EngineOptions{1, true});
+    engine::SweepEngine eng(engine::EngineOptions{.jobs = 1});
     for (const auto& a : check::run_all_artifacts(eng)) {
       const std::string path = *opt.write_golden_dir + "/" + a.name + ".csv";
       a.csv.write(path);
@@ -351,8 +351,8 @@ int main(int argc, char** argv) {
   // differential. Two private engines so the comparison cannot share a
   // memo cache with anything else in the process.
   {
-    engine::SweepEngine serial(engine::EngineOptions{1, true});
-    engine::SweepEngine parallel(engine::EngineOptions{opt.jobs, true});
+    engine::SweepEngine serial(engine::EngineOptions{.jobs = 1});
+    engine::SweepEngine parallel(engine::EngineOptions{.jobs = opt.jobs});
     const auto serial_artifacts = check::run_all_artifacts(serial);
     const auto parallel_artifacts = check::run_all_artifacts(parallel);
 
@@ -469,7 +469,7 @@ int main(int argc, char** argv) {
     persistence.store.injector = io_injector ? &*io_injector : nullptr;
     persistence.note = "check_cli --persist";
 
-    engine::EngineOptions warm_opt{1, true, persistence};
+    engine::EngineOptions warm_opt{.jobs = 1, .persist = persistence};
     std::vector<check::Artifact> cold_artifacts, warm_artifacts;
     std::uint64_t warm_sims = 0, resumed = 0;
     {

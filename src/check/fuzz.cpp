@@ -1020,9 +1020,7 @@ CheckReport fuzz_batch_identity(unsigned first_seed, unsigned num_seeds,
       }
 
       // (c) the engine path, memo-miss then memo-hit replay.
-      engine::SweepEngine eng(engine::EngineOptions{/*jobs=*/1,
-                                                    /*use_cache=*/true,
-                                                    /*persist=*/{}});
+      engine::SweepEngine eng(engine::EngineOptions{.jobs = 1});
       std::vector<engine::SweepPoint> points(count);
       for (std::size_t p = 0; p < count; ++p) {
         points[p] = engine::SweepPoint{&m, &sigs[which[p]], cfgs[p]};

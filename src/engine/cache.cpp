@@ -16,55 +16,6 @@ void SimCache::count_hit(Entry& e) {
   }
 }
 
-sim::TimeBreakdown SimCache::get_or_compute(
-    const CacheKey& key,
-    const std::function<sim::TimeBreakdown()>& compute) {
-  Shard& s = shard_of(key);
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    const auto it = s.map.find(key);
-    if (it != s.map.end()) {
-      count_hit(it->second);
-      return it->second.value;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  obs_misses_.add();
-  if (tracking()) {
-    persist_misses_.fetch_add(1, std::memory_order_relaxed);
-    obs_persist_misses_.add();
-  }
-  sim::TimeBreakdown value = compute();
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    // If another thread raced us to the same key, keep its entry; the
-    // compute function is pure, so the values are identical anyway and
-    // "first insert wins" keeps the hit-equality contract trivially true.
-    const auto [it, inserted] =
-        s.map.emplace(key, Entry{std::move(value), false, false});
-    if (inserted && tracking()) {
-      // Only the winning insert queues for persistence, so a flush
-      // writes each computed point exactly once.
-      s.fresh.push_back(key);
-      fresh_count_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return it->second.value;
-  }
-}
-
-std::optional<sim::TimeBreakdown> SimCache::find(const CacheKey& key) {
-  Shard& s = shard_of(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.map.find(key);
-  if (it == s.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    obs_misses_.add();
-    return std::nullopt;
-  }
-  count_hit(it->second);
-  return it->second.value;
-}
-
 void SimCache::lookup_batch(std::span<const CacheKey> keys,
                             std::span<sim::TimeBreakdown> results,
                             std::span<std::uint8_t> hit) {
@@ -120,9 +71,8 @@ void SimCache::insert_batch(std::span<const CacheKey> keys,
         ++queued;
       }
     }
-    // Under the lock, like get_or_compute: a concurrent drain_fresh
-    // subtracts the vector size it saw, so the counter and the queue
-    // must move together.
+    // Under the lock: a concurrent drain_fresh subtracts the vector
+    // size it saw, so the counter and the queue must move together.
     if (queued > 0) {
       fresh_count_.fetch_add(queued, std::memory_order_relaxed);
     }

@@ -5,9 +5,10 @@
 //
 // The cache is sharded: each shard holds an independent map behind its
 // own mutex, so concurrent lookups of different keys rarely contend.
-// Compute callbacks run *outside* the shard lock; if two threads race
-// on the same missing key, both compute (the function is pure, so the
-// values are identical) and the first insert wins.
+// The engine prices misses *outside* the shard locks, between
+// lookup_batch and insert_batch; if two batches race on the same
+// missing key, both price it (the model is pure, so the values are
+// identical) and the first insert wins.
 //
 // Persistence hooks (used by the engine's durable store, see
 // engine/persist.hpp): entries remember whether they were loaded from
@@ -20,9 +21,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -69,24 +68,12 @@ struct CachePersistStats {
 
 class SimCache {
  public:
-  /// Returns the cached breakdown for `key`, or runs `compute`, stores
-  /// the result and returns it. `compute` must be a pure function of
-  /// the key's preimage.
-  sim::TimeBreakdown get_or_compute(
-      const CacheKey& key,
-      const std::function<sim::TimeBreakdown()>& compute);
-
-  /// Lookup without side effects on the stored state (still counted in
-  /// the hit/miss statistics).
-  std::optional<sim::TimeBreakdown> find(const CacheKey& key);
-
-  /// Batched lookup for the engine's grid path: groups the keys by
-  /// shard and takes each touched shard's lock exactly once (the
-  /// per-point paths above lock per key). For every present key it
+  /// Batched lookup for the engine: groups the keys by shard and takes
+  /// each touched shard's lock exactly once. For every present key it
   /// writes the value to results[i] and sets hit[i] = 1; absent keys
   /// leave results[i] untouched and hit[i] = 0. Hit/miss (and persist)
-  /// statistics are counted exactly like get_or_compute. All three
-  /// spans must have the same length.
+  /// statistics count one hit or miss per key. All three spans must
+  /// have the same length.
   void lookup_batch(std::span<const CacheKey> keys,
                     std::span<sim::TimeBreakdown> results,
                     std::span<std::uint8_t> hit);
@@ -94,8 +81,8 @@ class SimCache {
   /// Batched insert of freshly-computed entries, one lock acquisition
   /// per touched shard. First insert wins (racing callers compute
   /// identical values) and only winning inserts queue for persistence,
-  /// matching get_or_compute's insert half. No effect on the hit/miss
-  /// statistics.
+  /// so a flush writes each computed point exactly once. No effect on
+  /// the hit/miss statistics.
   void insert_batch(std::span<const CacheKey> keys,
                     std::span<const sim::TimeBreakdown> values);
 

@@ -29,9 +29,8 @@ struct EngineMetrics {
 }  // namespace
 
 SweepEngine::SweepEngine(EngineOptions opt)
-    : jobs_(threading::recommended_jobs(opt.jobs)),
-      use_cache_(opt.use_cache) {
-  if (!opt.persist || !use_cache_) return;
+    : jobs_(threading::recommended_jobs(opt.jobs)) {
+  if (!opt.persist) return;
   store_ = std::make_unique<PersistentStore>(opt.persist->store);
   flush_min_entries_ = std::max<std::size_t>(1, opt.persist->flush_min_entries);
   persist_note_ = opt.persist->note;
@@ -145,44 +144,6 @@ const sim::Simulator& SweepEngine::simulator_locked(
   return *it->second;
 }
 
-const sim::Simulator& SweepEngine::simulator_for(
-    const machine::MachineDescriptor& m, std::uint64_t machine_fp) {
-  std::lock_guard<std::mutex> lock(sims_mu_);
-  return simulator_locked(m, machine_fp);
-}
-
-sim::TimeBreakdown SweepEngine::run_point(const SweepPoint& p) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  EngineMetrics::get().requests.add();
-  const std::uint64_t machine_fp = fingerprints_.machine(*p.machine);
-  auto compute = [&] {
-    const sim::Simulator& simulator = simulator_for(*p.machine, machine_fp);
-    simulations_.fetch_add(1, std::memory_order_relaxed);
-    EngineMetrics::get().simulations.add();
-    const auto t0 = std::chrono::steady_clock::now();
-    auto out = simulator.run(*p.signature, p.config);
-    sim_ns_.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()),
-        std::memory_order_relaxed);
-    return out;
-  };
-  if (!use_cache_) return compute();
-  const CacheKey key{machine_fp, fingerprints_.signature(*p.signature),
-                     config_fingerprint(p.config)};
-  return cache_.get_or_compute(key, compute);
-}
-
-sim::TimeBreakdown SweepEngine::run(const machine::MachineDescriptor& m,
-                                    const core::KernelSignature& sig,
-                                    const sim::SimConfig& cfg) {
-  sim::TimeBreakdown out = run_point(SweepPoint{&m, &sig, cfg});
-  maybe_flush();
-  return out;
-}
-
 std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
     std::span<const SweepPoint> points) {
   batches_.fetch_add(1, std::memory_order_relaxed);
@@ -235,9 +196,7 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   // One lock acquisition per shard for the whole batch, instead of one
   // per point.
   std::vector<std::uint8_t> hit(points.size(), 0);
-  if (use_cache_) {
-    cache_.lookup_batch(keys, results, hit);
-  }
+  cache_.lookup_batch(keys, results, hit);
 
   // Lay the misses out group by group (a counting sort on the group
   // index), so each group prices one contiguous slice.
@@ -306,19 +265,9 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
         *s.ctx, std::span<const sim::SimConfig>(cfgs.data() + s.begin, len),
         std::span<sim::TimeBreakdown>(outs.data() + s.begin, len));
   };
-  auto add_sim_ns = [&](std::chrono::steady_clock::time_point t0) {
-    sim_ns_.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()),
-        std::memory_order_relaxed);
-  };
 
   if (jobs_ == 1 || misses < kPoolMinMisses) {
-    const auto t0 = std::chrono::steady_clock::now();
     for (const Slice& s : slices) price(s);
-    add_sim_ns(t0);
   } else {
     // Split large slices so a single-group grid still spreads over the
     // pool.
@@ -340,17 +289,13 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
     pool_->parallel_for_dynamic(
         tasks.size(), 1,
         [&](std::size_t begin, std::size_t end, int /*worker*/) {
-          for (std::size_t t = begin; t < end; ++t) {
-            const auto t0 = std::chrono::steady_clock::now();
-            price(tasks[t]);
-            add_sim_ns(t0);
-          }
+          for (std::size_t t = begin; t < end; ++t) price(tasks[t]);
         });
   }
   simulations_.fetch_add(misses, std::memory_order_relaxed);
   EngineMetrics::get().simulations.add(misses);
   for (std::size_t k = 0; k < misses; ++k) results[order[k]] = outs[k];
-  if (use_cache_) cache_.insert_batch(miss_keys, outs);
+  cache_.insert_batch(miss_keys, outs);
   maybe_flush();
   return results;
 }
@@ -425,7 +370,6 @@ EngineCounters SweepEngine::counters() const {
   out.simulators_built =
       simulators_built_.load(std::memory_order_relaxed);
   out.batches = batches_.load(std::memory_order_relaxed);
-  out.sim_ns = sim_ns_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(sims_mu_);
     out.contexts = contexts_.size();
@@ -459,7 +403,6 @@ void SweepEngine::reset_counters() {
   simulations_.store(0, std::memory_order_relaxed);
   simulators_built_.store(0, std::memory_order_relaxed);
   batches_.store(0, std::memory_order_relaxed);
-  sim_ns_.store(0, std::memory_order_relaxed);
   cache_.reset_stats();
   std::lock_guard<std::mutex> lock(phases_mu_);
   phases_.clear();

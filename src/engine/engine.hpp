@@ -14,9 +14,9 @@
 //     larger batches out over a sgp::threading::ThreadPool with dynamic
 //     scheduling. Batches fill a pre-sized result vector by index, so
 //     parallel output is exactly equal to a forced-serial run;
-//   * count everything (requests, hits, Simulator::run executions,
-//     simulators built, batches, wall time per named phase) for the
-//     bench binaries' --perf flag and BENCH_sweep.json.
+//   * count everything (requests, hits, simulated points, simulators
+//     built, batches, wall time per named phase) for the bench
+//     binaries' --perf flag and BENCH_sweep.json.
 //
 // Exception contract (inherits PR 1's resilience rules): if any point
 // throws, unstarted points are skipped cooperatively, the batch joins,
@@ -49,13 +49,13 @@ class ThreadPool;
 
 namespace sgp::engine {
 
-/// Durable memo-cache + checkpoint/resume configuration. When set (and
-/// the cache is on), the engine loads every verified segment from
-/// `store.dir` at construction — so an interrupted sweep replays only
-/// its missing points — and flushes freshly-computed results back as
-/// new segments: at the end of any batch once `flush_min_entries` have
-/// accumulated, from a background flush thread every
-/// `flush_interval_ms` (0 disables the thread), and at destruction.
+/// Durable memo-cache + checkpoint/resume configuration. When set, the
+/// engine loads every verified segment from `store.dir` at
+/// construction — so an interrupted sweep replays only its missing
+/// points — and flushes freshly-computed results back as new segments:
+/// at the end of any batch once `flush_min_entries` have accumulated,
+/// from a background flush thread every `flush_interval_ms` (0 disables
+/// the thread), and at destruction.
 struct EnginePersistence {
   PersistOptions store;  ///< directory, I/O fault injection, flush retry
   std::size_t flush_min_entries = 256;
@@ -68,11 +68,7 @@ struct EngineOptions {
   /// Worker threads for batches: 1 = forced serial, 0 = one per
   /// hardware thread (threading::recommended_jobs).
   int jobs = 0;
-  /// false replicates the pre-engine behaviour (every request runs the
-  /// simulator); used for A/B accounting in bench/micro_sweep_engine.
-  bool use_cache = true;
-  /// Crash-safe persistence; disabled by default (and ignored when
-  /// use_cache is false — there is nothing to persist).
+  /// Crash-safe persistence; disabled by default.
   std::optional<EnginePersistence> persist = std::nullopt;
 };
 
@@ -96,27 +92,13 @@ struct EngineCounters {
   std::uint64_t requests = 0;      ///< evaluation points asked for
   std::uint64_t cache_hits = 0;    ///< served from the memo cache
   std::uint64_t cache_misses = 0;  ///< memo cache lookups that missed
-  std::uint64_t simulations = 0;   ///< actual Simulator::run executions
+  std::uint64_t simulations = 0;   ///< points priced (cache misses)
   std::uint64_t simulators_built = 0;
   std::uint64_t contexts = 0;     ///< engine-lifetime EvalContexts held
   std::uint64_t batches = 0;      ///< run_batch/run_grid calls
   std::uint64_t cache_entries = 0;
-  /// Wall nanoseconds spent inside Simulator::run, summed across
-  /// workers — the hot-path cost the memo cache and the replay engine
-  /// exist to shrink. Per-thread time, so sims_per_second() measures
-  /// simulator throughput independent of worker count and scheduling.
-  std::uint64_t sim_ns = 0;
   std::vector<PhaseStat> phases;  ///< in first-use order
   EnginePersistCounters persist;
-
-  /// Simulations per aggregate simulation second (0 when nothing ran).
-  /// bench/micro_sweep_engine gates on this so hot-path regressions
-  /// fail CI, not code review.
-  double sims_per_second() const {
-    return sim_ns == 0 ? 0.0
-                       : static_cast<double>(simulations) /
-                             (static_cast<double>(sim_ns) * 1e-9);
-  }
 };
 
 /// One evaluation point for run_batch. The machine and signature are
@@ -141,29 +123,19 @@ class SweepEngine {
   /// against in-flight batches; call between pipelines.
   void set_jobs(int jobs);
 
-  /// Evaluate one point through the cache.
-  sim::TimeBreakdown run(const machine::MachineDescriptor& m,
-                         const core::KernelSignature& sig,
-                         const sim::SimConfig& cfg);
-
-  double seconds(const machine::MachineDescriptor& m,
-                 const core::KernelSignature& sig,
-                 const sim::SimConfig& cfg) {
-    return run(m, sig, cfg).total_s;
-  }
-
   /// Fewest misses a batch must have before its pricing goes to the
   /// worker pool; below it the calling thread prices them inline. Set at
   /// the crossover of a single-signature grid priced inline against
   /// the two-worker pool (see docs/ENGINE.md "Threading").
   static constexpr std::size_t kPoolMinMisses = 4096;
 
-  /// Evaluate a batch of points; results are positionally aligned with
-  /// `points` regardless of scheduling. Safe to call from multiple
-  /// threads on one engine: cache lookups/inserts are sharded, shared
-  /// EvalContexts are prepared under sims_mu_ and only read while
-  /// pricing, and the worker-pool dispatch (whose job slot is
-  /// single-occupancy) is serialized on pool_mu_.
+  /// Evaluate a batch of points through the cache — the engine's one
+  /// evaluation path (a single point is a one-point batch); results are
+  /// positionally aligned with `points` regardless of scheduling. Safe
+  /// to call from multiple threads on one engine: cache lookups/inserts
+  /// are sharded, shared EvalContexts are prepared under sims_mu_ and
+  /// only read while pricing, and the worker-pool dispatch (whose job
+  /// slot is single-occupancy) is serialized on pool_mu_.
   std::vector<sim::TimeBreakdown> run_batch(
       std::span<const SweepPoint> points);
 
@@ -243,16 +215,12 @@ class SweepEngine {
   /// Requires sims_mu_.
   const sim::Simulator& simulator_locked(const machine::MachineDescriptor& m,
                                          std::uint64_t machine_fp);
-  const sim::Simulator& simulator_for(const machine::MachineDescriptor& m,
-                                      std::uint64_t machine_fp);
-  sim::TimeBreakdown run_point(const SweepPoint& p);
   void finish_phase(std::size_t index, double wall_s,
                     std::uint64_t requests);
   void maybe_flush();
   void stop_flusher();
 
   int jobs_;
-  const bool use_cache_;
   SimCache cache_;
 
   // Persistence (all null/zero when EngineOptions.persist is unset).
@@ -290,7 +258,6 @@ class SweepEngine {
   std::atomic<std::uint64_t> simulations_{0};
   std::atomic<std::uint64_t> simulators_built_{0};
   std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> sim_ns_{0};  ///< wall ns inside Simulator::run
 
   mutable std::mutex phases_mu_;
   std::vector<PhaseStat> phases_;

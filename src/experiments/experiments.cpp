@@ -1,7 +1,6 @@
 #include "experiments/experiments.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -66,84 +65,8 @@ SimConfig best_threads_cfg(Precision prec, int n) {
   return c;
 }
 
-/// Unmemoized kernel of best_sg2042_threads: sums the class's times at
-/// each candidate thread count in suite order, exactly as the historic
-/// serial loop did, so the winner (including tie-breaks) is unchanged.
-int best_threads_uncached(Group g, Precision prec, SweepEngine& eng) {
-  const auto& sg = pipeline_machine();
-  std::vector<core::KernelSignature> group_sigs;
-  for (const auto& sig : signatures()) {
-    if (sig.group == g) group_sigs.push_back(sig);
-  }
-  const SimConfig cfgs[] = {best_threads_cfg(prec, 32),
-                            best_threads_cfg(prec, 64)};
-  const auto times = eng.run_grid(sg, group_sigs, cfgs);
-  double best_time = 0.0;
-  int best_n = 32;
-  const int candidates[] = {32, 64};
-  for (std::size_t c = 0; c < 2; ++c) {
-    double total = 0.0;
-    for (std::size_t s = 0; s < group_sigs.size(); ++s) {
-      total += times[c * group_sigs.size() + s].total_s;
-    }
-    if (best_time == 0.0 || total < best_time) {
-      best_time = total;
-      best_n = candidates[c];
-    }
-  }
-  return best_n;
-}
-
 std::mutex best_threads_mu;
 std::map<std::pair<Group, Precision>, int> best_threads_memo;
-
-/// Shared body of the ported and legacy x86 comparisons: the baseline
-/// thread count per kernel is the only thing that differs.
-std::vector<RatioSeries> x86_comparison_impl(
-    Precision prec, bool multithreaded, SweepEngine& eng,
-    const std::function<int(Group)>& best_threads) {
-  const auto& sg = pipeline_machine();
-
-  // SG2042 baseline: single core, or the most performant thread count
-  // per class with cluster placement (Section 3.2's best practice).
-  std::map<std::string, double> baseline;
-  {
-    SimConfig c;
-    c.precision = prec;
-    c.compiler = CompilerId::Gcc;
-    c.vector_mode = VectorMode::VLS;
-    c.placement = Placement::ClusterCyclic;
-    std::vector<engine::SweepPoint> points;
-    points.reserve(signatures().size());
-    for (const auto& sig : signatures()) {
-      c.nthreads = multithreaded ? best_threads(sig.group) : 1;
-      points.push_back(engine::SweepPoint{&sg, &sig, c});
-    }
-    const auto times = eng.run_batch(points);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      baseline[points[i].signature->name] = times[i].total_s;
-    }
-  }
-
-  // Registry descriptors keep stable addresses, so the engine's
-  // fingerprint memo hits on every call.
-  const auto& registry = machine::shared_registry();
-  std::vector<RatioSeries> out;
-  for (const char* name : {"rome", "broadwell", "icelake", "sandybridge"}) {
-    const auto& x86 = registry.descriptor(name);
-    SimConfig c;
-    c.precision = prec;
-    c.compiler = CompilerId::Gcc;
-    c.vector_mode = VectorMode::VLS;
-    c.placement = Placement::Block;
-    c.nthreads = multithreaded ? x86.num_cores : 1;
-    // Ratio is t_SG2042 / t_x86: positive encoded = x86 faster, matching
-    // the paper's Figures 4-7 axes.
-    out.push_back(
-        make_series(x86.name, baseline, kernel_times(x86, c, eng)));
-  }
-  return out;
-}
 
 std::mutex pipeline_machine_mu;
 std::string pipeline_machine_name = "sg2042";
@@ -412,7 +335,29 @@ int best_sg2042_threads(Group g, Precision prec, SweepEngine& eng) {
     const auto it = best_threads_memo.find({g, prec});
     if (it != best_threads_memo.end()) return it->second;
   }
-  const int best = best_threads_uncached(g, prec, eng);
+  // Sum the class's times at each candidate thread count in suite
+  // order; the first candidate wins ties.
+  const auto& sg = pipeline_machine();
+  std::vector<core::KernelSignature> group_sigs;
+  for (const auto& sig : signatures()) {
+    if (sig.group == g) group_sigs.push_back(sig);
+  }
+  const int candidates[] = {32, 64};
+  const SimConfig cfgs[] = {best_threads_cfg(prec, candidates[0]),
+                            best_threads_cfg(prec, candidates[1])};
+  const auto times = eng.run_grid(sg, group_sigs, cfgs);
+  double best_time = 0.0;
+  int best = candidates[0];
+  for (std::size_t c = 0; c < 2; ++c) {
+    double total = 0.0;
+    for (std::size_t s = 0; s < group_sigs.size(); ++s) {
+      total += times[c * group_sigs.size() + s].total_s;
+    }
+    if (best_time == 0.0 || total < best_time) {
+      best_time = total;
+      best = candidates[c];
+    }
+  }
   std::lock_guard<std::mutex> lock(best_threads_mu);
   best_threads_memo.emplace(std::make_pair(g, prec), best);
   return best;
@@ -433,35 +378,53 @@ std::vector<RatioSeries> x86_comparison(Precision prec, bool multithreaded,
       std::string("x86_comparison(") +
       std::string(core::to_string(prec)) +
       (multithreaded ? ",multi)" : ",single)"));
-  return x86_comparison_impl(prec, multithreaded, eng, [&](Group g) {
-    return best_sg2042_threads(g, prec, eng);
-  });
+  const auto& sg = pipeline_machine();
+
+  // SG2042 baseline: single core, or the most performant thread count
+  // per class with cluster placement (Section 3.2's best practice).
+  std::map<std::string, double> baseline;
+  {
+    SimConfig c;
+    c.precision = prec;
+    c.compiler = CompilerId::Gcc;
+    c.vector_mode = VectorMode::VLS;
+    c.placement = Placement::ClusterCyclic;
+    std::vector<engine::SweepPoint> points;
+    points.reserve(signatures().size());
+    for (const auto& sig : signatures()) {
+      c.nthreads =
+          multithreaded ? best_sg2042_threads(sig.group, prec, eng) : 1;
+      points.push_back(engine::SweepPoint{&sg, &sig, c});
+    }
+    const auto times = eng.run_batch(points);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      baseline[points[i].signature->name] = times[i].total_s;
+    }
+  }
+
+  // Registry descriptors keep stable addresses, so the engine's
+  // fingerprint memo hits on every call.
+  const auto& registry = machine::shared_registry();
+  std::vector<RatioSeries> out;
+  for (const char* name : {"rome", "broadwell", "icelake", "sandybridge"}) {
+    const auto& x86 = registry.descriptor(name);
+    SimConfig c;
+    c.precision = prec;
+    c.compiler = CompilerId::Gcc;
+    c.vector_mode = VectorMode::VLS;
+    c.placement = Placement::Block;
+    c.nthreads = multithreaded ? x86.num_cores : 1;
+    // Ratio is t_SG2042 / t_x86: positive encoded = x86 faster, matching
+    // the paper's Figures 4-7 axes.
+    out.push_back(
+        make_series(x86.name, baseline, kernel_times(x86, c, eng)));
+  }
+  return out;
 }
 
 std::vector<RatioSeries> x86_comparison(Precision prec,
                                         bool multithreaded) {
   return x86_comparison(prec, multithreaded, engine::shared_engine());
 }
-
-namespace legacy {
-
-int best_sg2042_threads(Group g, Precision prec, SweepEngine& eng) {
-  return best_threads_uncached(g, prec, eng);
-}
-
-std::vector<RatioSeries> x86_comparison(Precision prec, bool multithreaded,
-                                        SweepEngine& eng) {
-  const auto scope = eng.phase(
-      std::string("legacy::x86_comparison(") +
-      std::string(core::to_string(prec)) +
-      (multithreaded ? ",multi)" : ",single)"));
-  // The pre-engine hot spot, reproduced: one best-threads recomputation
-  // per *kernel*, each re-simulating the kernel's whole class twice.
-  return x86_comparison_impl(prec, multithreaded, eng, [&](Group g) {
-    return best_threads_uncached(g, prec, eng);
-  });
-}
-
-}  // namespace legacy
 
 }  // namespace sgp::experiments

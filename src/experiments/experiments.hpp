@@ -2,14 +2,15 @@
 // thin printer over these functions, and the integration tests assert
 // the paper's qualitative findings on the same structured outputs.
 //
-// Every pipeline runs on the sweep engine (src/engine): evaluation
-// points are memoized in a content-addressed cache and fanned out over
-// a thread pool, so pipelines sharing points (the x86 baselines, the
-// scaling tables, repeated invocations from tests and bench binaries in
-// one process) stop re-simulating them. The parameterless overloads use
-// the process-wide engine::shared_engine(); results are bit-identical
-// to the historical serial code by construction (the engine only
-// schedules and caches — the models are untouched).
+// Every pipeline prices its grid through one SweepEngine::run_grid or
+// run_batch call on the sweep engine (src/engine): evaluation points
+// are memoized in a content-addressed cache, so pipelines sharing
+// points (the x86 baselines, the scaling tables, repeated invocations
+// from tests and bench binaries in one process) stop re-simulating
+// them. The parameterless overloads use the process-wide
+// engine::shared_engine(); results are bit-identical to direct
+// Simulator::run calls by construction (the engine only schedules and
+// caches — the models are untouched).
 #pragma once
 
 #include <map>
@@ -135,28 +136,6 @@ int best_sg2042_threads(core::Group g, core::Precision prec,
 /// Drops the best_sg2042_threads memo (tests and the sweep-engine
 /// microbenchmark use this to measure request counts from a clean slate).
 void reset_best_threads_memo();
-
-// ------------------------------------------------------------ Legacy --
-/// Faithful replicas of the pre-engine call graphs, kept so
-/// bench/micro_sweep_engine can measure the historical Simulator::run
-/// volume empirically (run them against an engine with use_cache =
-/// false) and assert the engine's outputs are identical. Not for new
-/// callers.
-namespace legacy {
-
-/// Pre-engine x86_comparison: when multithreaded, recomputes the best
-/// thread count *per kernel*, each time re-simulating the kernel's
-/// whole class at both candidate counts (no memo, no cache reuse).
-std::vector<RatioSeries> x86_comparison(core::Precision prec,
-                                        bool multithreaded,
-                                        engine::SweepEngine& eng);
-
-/// Pre-engine best_sg2042_threads: unmemoized, 2 x |class| simulations
-/// per call.
-int best_sg2042_threads(core::Group g, core::Precision prec,
-                        engine::SweepEngine& eng);
-
-}  // namespace legacy
 
 // ------------------------------------------------------------ Helpers --
 /// Mean/min/max of encoded ratios per group, given per-kernel ratios and

@@ -240,7 +240,7 @@ TEST(Artifacts, RegistryCoversEveryFigureAndTable) {
 }
 
 TEST(Artifacts, UnknownNameThrows) {
-  engine::SweepEngine eng(engine::EngineOptions{1, true});
+  engine::SweepEngine eng(engine::EngineOptions{.jobs = 1});
   EXPECT_THROW((void)run_artifact("fig99", eng), std::invalid_argument);
 }
 
@@ -254,8 +254,8 @@ TEST(Artifacts, Tab4MatchesItsPolicyColumns) {
 }
 
 TEST(Artifacts, SerialAndParallelEnginesRenderIdentically) {
-  engine::SweepEngine serial(engine::EngineOptions{1, true});
-  engine::SweepEngine parallel(engine::EngineOptions{0, true});
+  engine::SweepEngine serial(engine::EngineOptions{.jobs = 1});
+  engine::SweepEngine parallel(engine::EngineOptions{.jobs = 0});
   const auto a = run_artifact("fig1", serial);
   const auto b = run_artifact("fig1", parallel);
   EXPECT_EQ(a.csv.text(), b.csv.text());

@@ -2,9 +2,8 @@
 // layer, so (1) a cache hit returns exactly the breakdown the miss
 // computed, (2) a parallel run is bit-identical to a forced-serial run,
 // (3) the counters account for every request, (4) a throwing point
-// fails the batch without poisoning the engine, and (5) the ported
-// pipelines reproduce the legacy call graphs' outputs with far fewer
-// simulations.
+// fails the batch without poisoning the engine, and (5) the best-thread
+// search asks the engine once per (class, precision).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -32,6 +31,15 @@ void expect_same_breakdown(const sim::TimeBreakdown& a,
   EXPECT_EQ(a.note_rollback, b.note_rollback);
 }
 
+/// One point through the engine's only evaluation path.
+sim::TimeBreakdown run_one(SweepEngine& eng,
+                           const machine::MachineDescriptor& m,
+                           const core::KernelSignature& sig,
+                           const sim::SimConfig& cfg) {
+  const SweepPoint point[] = {{&m, &sig, cfg}};
+  return eng.run_batch(point).front();
+}
+
 sim::SimConfig fp32_threads(int n) {
   sim::SimConfig cfg;
   cfg.precision = core::Precision::FP32;
@@ -46,8 +54,8 @@ TEST(SweepEngine, CacheHitReturnsTheIdenticalBreakdown) {
   const auto sig = kernels::all_signatures().front();
   const auto cfg = fp32_threads(32);
 
-  const auto first = eng.run(m, sig, cfg);
-  const auto second = eng.run(m, sig, cfg);
+  const auto first = run_one(eng, m, sig, cfg);
+  const auto second = run_one(eng, m, sig, cfg);
   expect_same_breakdown(first, second);
 
   const auto c = eng.counters();
@@ -139,45 +147,8 @@ TEST(SweepEngine, ThrowingPointFailsTheBatchButNotTheEngine) {
   EXPECT_THROW((void)eng.run_batch(points), std::invalid_argument);
 
   // The engine stays usable (nothing from the failed batch was cached).
-  const auto ok = eng.run(m, sigs.front(), cfg);
+  const auto ok = run_one(eng, m, sigs.front(), cfg);
   EXPECT_GT(ok.total_s, 0.0);
-}
-
-TEST(SweepEngine, CacheOffReplicatesEveryRequest) {
-  SweepEngine eng({/*jobs=*/1, /*use_cache=*/false});
-  const auto m = machine::sg2042();
-  const auto sig = kernels::all_signatures().front();
-  const auto cfg = fp32_threads(32);
-  const auto a = eng.run(m, sig, cfg);
-  const auto b = eng.run(m, sig, cfg);
-  expect_same_breakdown(a, b);
-  const auto c = eng.counters();
-  EXPECT_EQ(c.simulations, 2u);
-  EXPECT_EQ(c.cache_hits, 0u);
-}
-
-TEST(SweepEngine, LegacyCallGraphsReproduceThePortedOutputs) {
-  SweepEngine legacy_eng({/*jobs=*/0, /*use_cache=*/false});
-  SweepEngine eng({/*jobs=*/0});
-
-  experiments::reset_best_threads_memo();
-  const auto legacy = experiments::legacy::x86_comparison(
-      core::Precision::FP32, /*multithreaded=*/true, legacy_eng);
-  experiments::reset_best_threads_memo();
-  const auto ported = experiments::x86_comparison(
-      core::Precision::FP32, /*multithreaded=*/true, eng);
-
-  ASSERT_EQ(legacy.size(), ported.size());
-  for (std::size_t s = 0; s < legacy.size(); ++s) {
-    EXPECT_EQ(legacy[s].label, ported[s].label);
-    EXPECT_TRUE(legacy[s].per_kernel_ratio == ported[s].per_kernel_ratio)
-        << legacy[s].label;
-  }
-
-  // The whole point of the engine: the legacy graph re-simulates the
-  // per-kernel best-thread search, the ported one does not.
-  EXPECT_GT(legacy_eng.counters().simulations,
-            2 * eng.counters().simulations);
 }
 
 TEST(SweepEngine, BestThreadsMemoAsksTheEngineOnce) {
@@ -200,8 +171,8 @@ TEST(SweepEngine, PhasesAttributeRequests) {
   const auto sig = kernels::all_signatures().front();
   {
     auto scope = eng.phase("unit-test-phase");
-    (void)eng.run(m, sig, fp32_threads(1));
-    (void)eng.run(m, sig, fp32_threads(2));
+    (void)run_one(eng, m, sig, fp32_threads(1));
+    (void)run_one(eng, m, sig, fp32_threads(2));
   }
   const auto c = eng.counters();
   ASSERT_EQ(c.phases.size(), 1u);

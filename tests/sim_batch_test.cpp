@@ -321,18 +321,19 @@ TEST(SimBatch, InlineAndPoolPricingAreBitIdentical) {
 }
 
 TEST(SimBatch, ConcurrentRunGridCallersShareCachedContexts) {
-  // Cache off: every call prices, so all callers read the same
-  // engine-lifetime contexts at once while others prepare new combos
-  // in them. One caller's grid is above the pool threshold, so pooled
-  // and inline pricing overlap too. The TSan lane rebuilds this test.
+  // Each round builds one fresh cached engine shared by all callers, so
+  // every round prices concurrently: callers read the same
+  // engine-lifetime contexts while others prepare new combos in them,
+  // and race lookup_batch/insert_batch on overlapping keys. One
+  // caller's grid is above the pool threshold, so when it misses first
+  // (the usual case) pooled and inline pricing overlap too. The TSan
+  // lane rebuilds this test.
   const auto m = machine::sg2042();
   const sim::Simulator sim(m);
   const std::vector<core::KernelSignature> sigs = {
       find_sig("TRIAD"), find_sig("GEMM"), find_sig("DOT"),
       find_sig("SORT")};
   const auto grid = full_grid(m);
-  engine::SweepEngine shared(
-      engine::EngineOptions{/*jobs=*/2, /*use_cache=*/false});
   constexpr int kCallers = 6;
   std::vector<std::vector<sim::SimConfig>> cfgs(kCallers);
   for (int c = 0; c < kCallers; ++c) {
@@ -347,28 +348,35 @@ TEST(SimBatch, ConcurrentRunGridCallersShareCachedContexts) {
          engine::SweepEngine::kPoolMinMisses) {
     cfgs[0].insert(cfgs[0].end(), grid.begin(), grid.end());
   }
-  std::vector<std::vector<sim::TimeBreakdown>> got(kCallers);
-  {
-    std::vector<std::thread> callers;
-    for (int c = 0; c < kCallers; ++c) {
-      callers.emplace_back([&, c] {
-        for (int round = 0; round < 3; ++round) {
-          got[c] = shared.run_grid(m, sigs, cfgs[c]);
-        }
-      });
-    }
-    for (auto& th : callers) th.join();
-  }
+  // Serial reference, one scalar run per caller point.
+  std::vector<std::vector<sim::TimeBreakdown>> want(kCallers);
   for (int c = 0; c < kCallers; ++c) {
-    ASSERT_EQ(got[c].size(), cfgs[c].size() * sigs.size()) << c;
-    for (std::size_t i = 0; i < got[c].size(); ++i) {
-      const auto& cfg = cfgs[c][i / sigs.size()];
-      expect_identical(sim.run(sigs[i % sigs.size()], cfg), got[c][i],
-                       "caller " + std::to_string(c) + " point " +
-                           std::to_string(i));
+    for (const auto& cfg : cfgs[c]) {
+      for (const auto& sig : sigs) want[c].push_back(sim.run(sig, cfg));
     }
   }
-  EXPECT_EQ(shared.counters().contexts, sigs.size());
+  for (int round = 0; round < 3; ++round) {
+    engine::SweepEngine shared(engine::EngineOptions{/*jobs=*/2});
+    std::vector<std::vector<sim::TimeBreakdown>> got(kCallers);
+    {
+      std::vector<std::thread> callers;
+      for (int c = 0; c < kCallers; ++c) {
+        callers.emplace_back(
+            [&, c] { got[c] = shared.run_grid(m, sigs, cfgs[c]); });
+      }
+      for (auto& th : callers) th.join();
+    }
+    for (int c = 0; c < kCallers; ++c) {
+      ASSERT_EQ(got[c].size(), want[c].size()) << c;
+      for (std::size_t i = 0; i < got[c].size(); ++i) {
+        expect_identical(want[c][i], got[c][i],
+                         "round " + std::to_string(round) + " caller " +
+                             std::to_string(c) + " point " +
+                             std::to_string(i));
+      }
+    }
+    EXPECT_EQ(shared.counters().contexts, sigs.size());
+  }
 }
 
 TEST(SimBatch, BadSignatureThrowsAndCachesNoContext) {
@@ -392,7 +400,9 @@ TEST(SimBatch, BadSignatureThrowsAndCachesNoContext) {
 
   // The engine stays usable and prices the good point exactly.
   const sim::Simulator sim(m);
-  expect_identical(sim.run(good, cfg), eng.run(m, good, cfg), "after throw");
+  const engine::SweepPoint good_only[] = {{&m, &good, cfg}};
+  expect_identical(sim.run(good, cfg), eng.run_batch(good_only).front(),
+                   "after throw");
   eng.clear_cache();
   EXPECT_EQ(eng.counters().contexts, 0u);
 }
